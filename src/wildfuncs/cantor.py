@@ -6,6 +6,13 @@ The enumeration, the inductive placement rule and the codec are all
 deterministic, so every placement is a pure function of its index.
 Placements are memoized sequentially (each depends on all previous ones);
 a lock guards extension of the memo, reads of finished entries are free.
+
+A placement works in integer coordinates: it keeps the earlier hulls that
+meet its basis interval, puts them over one common denominator, and refines
+their cover one level at a time by scaling by 3 and splitting each segment
+into its outer thirds.  Only the chosen hull becomes a Fraction again.
+Evaluation skips every set whose closed hull misses x by an integer
+cross-multiplication before it forms the set's coordinate of x.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .exactcore import _int_from_digits, _int_to_digits, fraction_value, to_expansion
 
@@ -89,6 +96,8 @@ class AffineCantor:
 
 
 _records: list[dict] = []
+# (c.numerator, c.denominator, d.numerator, d.denominator) of each record's hull
+_hulls: list[tuple[int, int, int, int]] = []
 
 
 def _clipped_cover(c: Fraction, d: Fraction, lo: Fraction, hi: Fraction, t: int):
@@ -103,50 +112,59 @@ def _clipped_cover(c: Fraction, d: Fraction, lo: Fraction, hi: Fraction, t: int)
     )
 
 
-def _merged(segments):
-    out = []
-    for s, e in sorted(segments):
-        if out and s <= out[-1][1]:
-            if e > out[-1][1]:
-                out[-1][1] = e
-        else:
-            out.append([s, e])
-    return out
-
-
 def _place(i: int) -> dict:
+    """Hull of the i-th Cantor set, chosen against the earlier ones.
+
+    Only earlier hulls meeting (a, b) can cover any of it.  They are put on
+    integers over one common denominator q; each deeper cover level scales
+    every coordinate by 3 and splits each surviving segment into its outer
+    thirds, keeping those that still meet (a, b), as _clipped_cover does.
+    The cover is refined until it covers less than half of (a, b); the
+    hull is the middle half of its widest gap, leftmost on ties.
+    """
     a, b = basis_interval(i)
-    width = b - a
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    near = [  # d > a and c < b
+        (cn, cd, dn, dd)
+        for cn, cd, dn, dd in _hulls[:i]
+        if dn * ad > an * dd and cn * bd < bn * cd
+    ]
+    q = lcm(ad, bd, *(cd for _, cd, _, _ in near), *(dd for _, _, _, dd in near))
+    lo, hi = an * (q // ad), bn * (q // bd)
+    segments = [(cn * (q // cd), dn * (q // dd)) for cn, cd, dn, dd in near]
     depth = 0
     while True:
-        segments = []
-        for rec in _records[:i]:
-            segments += _clipped_cover(rec["c"], rec["d"], a, b, depth)
-        merged = _merged(segments)
-        covered = sum(min(e, b) - max(s, a) for s, e in merged)
-        if covered < width / 2:
+        # one sweep of the sorted cover: the length it covers beyond lo, and
+        # its widest gap in (lo, hi), leftmost on ties
+        covered, cursor, best = 0, lo, None
+        for s, e in sorted(segments) + [(hi, hi)]:
+            if s > cursor:
+                if best is None or s - cursor > best[1] - best[0]:
+                    best = (cursor, s)
+                covered += e - s
+                cursor = e
+            elif e > cursor:
+                covered += e - cursor
+                cursor = e
+        if 2 * (covered - (cursor - hi)) < hi - lo:
             break
         depth += 1
-    # gaps of the merged cover inside (a, b); pick the widest, leftmost on ties
-    gaps = []
-    cursor = a
-    for s, e in merged:
-        if s > cursor:
-            gaps.append((cursor, s))
-        cursor = max(cursor, min(e, b))
-    if cursor < b:
-        gaps.append((cursor, b))
-    best = gaps[0]
-    for g in gaps[1:]:
-        if g[1] - g[0] > best[1] - best[0]:
-            best = g
-    quarter = (best[1] - best[0]) / 4
+        q, lo, hi = 3 * q, 3 * lo, 3 * hi
+        finer = []
+        for s, e in segments:
+            s, e, w = 3 * s, 3 * e, e - s
+            if s + w > lo and s < hi:
+                finer.append((s, s + w))
+            if e > lo and e - w < hi:
+                finer.append((e - w, e))
+        segments = finer
+    left, right = best
     return {
         "index": i,
         "a": a,
         "b": b,
-        "c": best[0] + quarter,
-        "d": best[1] - quarter,
+        "c": Fraction(3 * left + right, 4 * q),
+        "d": Fraction(left + 3 * right, 4 * q),
         "depth": depth,
     }
 
@@ -155,7 +173,10 @@ def ensure_placed(count: int) -> None:
     """Pre-build placements 0..count-1 (idempotent, thread-safe)."""
     with _lock:
         while len(_records) < count:
-            _records.append(_place(len(_records)))
+            rec = _place(len(_records))
+            c, d = rec["c"], rec["d"]
+            _hulls.append((c.numerator, c.denominator, d.numerator, d.denominator))
+            _records.append(rec)
 
 
 def placement_record(i: int) -> dict:
@@ -179,6 +200,7 @@ def _reset_state() -> None:
         _rationals.clear()
         _pairs.clear()
         _records.clear()
+        _hulls.clear()
         _next_code = 0
         _rational_sum = 0
 
@@ -300,12 +322,14 @@ def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:
     if bound < 1:
         raise ValueError("bound must be positive")
     x = Fraction(x)
+    xn, xd = x.numerator, x.denominator
     ensure_placed(bound)
     for i in range(bound):
+        cn, cd, dn, dd = _hulls[i]
+        if cn * xd > xn * cd or xn * dd > dn * xd:
+            continue  # x is outside the closed hull [c, d]
         rec = _records[i]
         t = (x - rec["c"]) / (rec["d"] - rec["c"])
-        if t < 0 or t > 1:
-            continue
         digits = _unit_digits(t)
         if digits is not None:
             stream = BitStream(_halved(digits[0]), _halved(digits[1]))

@@ -248,15 +248,30 @@ class DigitExpansion:
         return self.digit_str()
 
 
+def _strip_base(m: int, base: int) -> tuple[int, int]:
+    """(k, m // base**k) for the largest k with base**k dividing m."""
+    if m % base:
+        return 0, m
+    if base == 2:
+        k = (m & -m).bit_length() - 1
+        return k, m >> k
+    # base**(2**j) for as long as it divides m, then take them largest first
+    powers = [base]
+    while m % (powers[-1] * powers[-1]) == 0:
+        powers.append(powers[-1] * powers[-1])
+    k = 0
+    for j in reversed(range(len(powers))):
+        if m % powers[j] == 0:
+            m //= powers[j]
+            k += 1 << j
+    return k, m
+
+
 def _fraction_digits(num: int, den: int, base: int) -> tuple[bytes, bytes]:
     """(prefix, cycle) digits of num/den in [0, 1), gcd(num, den) = 1."""
     if num == 0:
         return b"", b""
-    pre = 0
-    m = den
-    while m % base == 0:
-        m //= base
-        pre += 1
+    pre, m = _strip_base(den, base)
     prefix, r = _divide(num, den, base, pre)
     if r == 0:
         return prefix, b""

@@ -1,4 +1,5 @@
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -17,6 +18,70 @@ from wildfuncs.cantor import (
 )
 
 UNIT = AffineCantor(0, F(0), F(1))
+
+
+def _oracle_cover(c, d, lo, hi, t):
+    # level-t cover intervals of the Cantor set on [c, d] meeting (lo, hi)
+    if d <= lo or c >= hi:
+        return []
+    if t == 0:
+        return [(c, d)]
+    third = (d - c) / 3
+    return _oracle_cover(c, c + third, lo, hi, t - 1) + _oracle_cover(
+        d - third, d, lo, hi, t - 1
+    )
+
+
+def _oracle_records(count):
+    # the placement rule in plain Fractions: the cover of every earlier set,
+    # rebuilt from depth 0 at each depth until it covers less than half of
+    # (a, b); the hull is the middle half of the widest gap, leftmost on ties
+    records = []
+    for i in range(count):
+        a, b = basis_interval(i)
+        depth = 0
+        while True:
+            segments = sorted(
+                seg
+                for rec in records
+                for seg in _oracle_cover(rec["c"], rec["d"], a, b, depth)
+            )
+            merged = []
+            for s, e in segments:
+                if merged and s <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], e)
+                else:
+                    merged.append([s, e])
+            if sum(min(e, b) - max(s, a) for s, e in merged) < (b - a) / 2:
+                break
+            depth += 1
+        gaps, cursor = [], a
+        for s, e in merged:
+            if s > cursor:
+                gaps.append((cursor, s))
+            cursor = max(cursor, min(e, b))
+        if cursor < b:
+            gaps.append((cursor, b))
+        g, h = max(gaps, key=lambda gap: (gap[1] - gap[0], -gap[0]))
+        quarter = (h - g) / 4
+        records.append(
+            {"index": i, "a": a, "b": b, "c": g + quarter, "d": h - quarter, "depth": depth}
+        )
+    return records
+
+
+def _oracle_evaluate(x, bound):
+    # full scan: the first set, in index order, whose hull coordinate t of x
+    # lies in [0, 1] and has a 0/2 ternary expansion
+    for i in range(bound):
+        rec = placement_record(i)
+        t = (x - rec["c"]) / (rec["d"] - rec["c"])
+        if 0 <= t <= 1:
+            digits = cantor._unit_digits(t)
+            if digits is not None:
+                bits = (bytes(v // 2 for v in digits[0]), bytes(v // 2 for v in digits[1]))
+                return decode_bits(BitStream(*bits)), i
+    return F(0), bound
 
 
 class TestBasisEnumeration:
@@ -65,6 +130,21 @@ class TestPlacement:
         cantor._reset_state()
         after = [placement_record(i) for i in range(6)]
         assert before == after
+
+    def test_matches_fraction_oracle(self):
+        expected = _oracle_records(200)
+        for i in range(200):
+            rec = placement_record(i)
+            assert rec == expected[i]
+            assert [type(rec[k]) for k in "abcd"] == [F] * 4
+
+    def test_placement_scales(self):
+        # placing 0..399 took 12 s when every depth rescanned every earlier
+        # set in Fractions; integer refinement takes under a second
+        cantor._reset_state()
+        start = time.perf_counter()
+        cantor.ensure_placed(400)
+        assert time.perf_counter() - start < 10
 
     def test_place_returns_frozen_view(self):
         cs = place_cantor(3)
@@ -165,6 +245,23 @@ class TestEvaluate:
         rec = placement_record(0)
         mid = (rec["c"] + rec["d"]) / 2  # t = 1/2, not a member
         assert cantor.evaluate(mid, 1) == (F(0), 1)
+
+    def test_hull_filter_matches_full_scan(self):
+        bound = 160
+        rng = random.Random(63)
+        points = [F(rng.randint(-3000, 3000), rng.randint(1, 1000)) for _ in range(100)]
+        for i in range(bound):
+            rec = placement_record(i)
+            c, d = rec["c"], rec["d"]
+            # endpoints (t = 0 and 1), Cantor points inside, and points one
+            # unit in the last place inside and outside each end; that unit
+            # adds only 3s to the denominator, which keeps the expansions in
+            # other hulls short
+            uc, ud = F(1, c.denominator * 3**40), F(1, d.denominator * 3**40)
+            points += [c, d, c - uc, c + uc, d - ud, d + ud]
+            points += [c + t * (d - c) for t in (F(1, 4), F(1, 10))]
+        for x in points:
+            assert cantor.evaluate(x, bound) == _oracle_evaluate(x, bound)
 
 
 class TestPreimage:

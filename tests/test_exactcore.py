@@ -217,6 +217,25 @@ class TestRoundTrip:
             assert (e.prefix, e.cycle) == _long_division(x, base)
             assert from_expansion(e) == x
 
+    def test_large_powers_of_the_base(self):
+        # 5 / base**k terminates after exactly k digits: the digits of 5,
+        # left-padded with zeros
+        for base, k, five in ((2, 200000, [1, 0, 1]), (3, 50000, [1, 2])):
+            x = F(5, base**k)
+            e = to_expansion(x, base)
+            assert len(e.prefix) == k and e.cycle == b""
+            assert e.prefix == bytes(k - len(five)) + bytes(five)
+            assert from_expansion(e) == x
+
+    def test_mixed_powers_of_the_base(self):
+        # every power of the base up to 70, times a coprime part
+        for base in (2, 3):
+            for k in range(71):
+                for rest in (1, 7, 1001):
+                    x = F(1, base**k * rest)
+                    e = to_expansion(x, base)
+                    assert (e.prefix, e.cycle) == _long_division(x, base)
+
 
 class TestFractionValue:
     def test_plain_value(self):
