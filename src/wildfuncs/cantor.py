@@ -4,8 +4,10 @@ that maps Cantor points onto exactly representable targets.
 
 The enumeration, the inductive placement rule and the codec are all
 deterministic, so every placement is a pure function of its index.
-Placements are memoized sequentially (each depends on all previous ones);
-a lock guards extension of the memo, reads of finished entries are free.
+The enumeration is one generator, `_intervals`, drained on demand into a
+list of basis intervals.  Placements are memoized sequentially (each
+depends on all previous ones); a lock guards extension of both memos,
+reads of finished entries are free.
 
 A placement works in integer coordinates: it keeps the earlier hulls that
 meet its basis interval, puts them over one common denominator, and refines
@@ -17,10 +19,11 @@ cross-multiplication before it forms the set's coordinate of x.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .exactcore import _int_from_digits, _int_to_digits, fraction_value, to_expansion
 
@@ -29,53 +32,39 @@ _lock = threading.RLock()
 # ---------------------------------------------------------------------------
 # enumeration of rationals and of basis intervals
 
-_rationals: list[Fraction] = []
-_rational_sum = 0  # all values with |num| + den <= this are generated
 
-_pairs: list[tuple[int, int]] = []  # emitted (i, j) index pairs
-_next_code = 0
+def _intervals():
+    """Basis intervals in enumeration order.
 
-
-def _extend_rationals(count: int) -> None:
-    global _rational_sum
-    while len(_rationals) < count:
-        _rational_sum += 1
-        s = _rational_sum
-        for num in range(-(s - 1), s):
-            den = s - abs(num)
-            if den >= 1 and gcd(abs(num), den) == 1:
-                _rationals.append(Fraction(num, den))
-
-
-def _rational(k: int) -> Fraction:
-    if len(_rationals) <= k:
-        _extend_rationals(k + 1)
-    return _rationals[k]
+    Reduced rationals are ordered by (|num| + den, num); for s = 0, 1, ...
+    the index pairs (s - j, j), j = 0..s, are scanned and kept when
+    left < right.
+    """
+    rationals, total = [], 0  # every value with |num| + den <= total
+    for s in itertools.count():
+        while len(rationals) <= s:
+            total += 1
+            for num in range(1 - total, total):
+                den = total - abs(num)
+                if gcd(num, den) == 1:
+                    rationals.append(Fraction(num, den))
+        for j in range(s + 1):
+            if rationals[s - j] < rationals[j]:
+                yield rationals[s - j], rationals[j]
 
 
-def _decode_pairing(code: int) -> tuple[int, int]:
-    s = (isqrt(8 * code + 1) - 1) // 2
-    j = code - s * (s + 1) // 2
-    return s - j, j
+_basis: list[tuple[Fraction, Fraction]] = []
+_enumeration = _intervals()
 
 
 def basis_interval(n: int) -> tuple[Fraction, Fraction]:
-    """n-th interval of the fixed enumeration.
-
-    Reduced rationals are ordered by (|num| + den, num); index pairs are
-    scanned in pairing-code order and kept when left < right.
-    """
+    """n-th interval of the fixed enumeration (see _intervals)."""
     if n < 0:
         raise ValueError("index must be non-negative")
     with _lock:
-        global _next_code
-        while len(_pairs) <= n:
-            i, j = _decode_pairing(_next_code)
-            _next_code += 1
-            if _rational(i) < _rational(j):
-                _pairs.append((i, j))
-    i, j = _pairs[n]
-    return _rational(i), _rational(j)
+        while len(_basis) <= n:
+            _basis.append(next(_enumeration))
+    return _basis[n]
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +184,12 @@ def place_cantor(i: int) -> AffineCantor:
 
 def _reset_state() -> None:
     # test hook: drops every memoized enumeration and placement
-    global _next_code, _rational_sum
+    global _enumeration
     with _lock:
-        _rationals.clear()
-        _pairs.clear()
+        _basis.clear()
         _records.clear()
         _hulls.clear()
-        _next_code = 0
-        _rational_sum = 0
+        _enumeration = _intervals()
 
 
 # ---------------------------------------------------------------------------

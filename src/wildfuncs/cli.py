@@ -21,7 +21,6 @@ from . import cantor, projections, qspan, ternary, verify
 from .exactcore import format_rational, parse_rational
 from .surds import QuadraticSurd, parse_surd, format_surd
 
-EXACT_FNS = ("p", "q", "h", "hs", "cf", "recip")
 QUASI_FNS = {"quasi:sin+x/2": 1, "quasi:sin-x/2": -1}
 
 
@@ -56,6 +55,18 @@ def _reciprocal(x: Fraction) -> Fraction:
     return 1 / x if x > 0 else Fraction(0)
 
 
+def _rational_fn(fn: str, max_index: int):
+    """(evaluate, format) for an exact function token on rational inputs."""
+    if fn in ("p", "q"):
+        return (lambda x: projections.PROJECTIONS[fn](QuadraticSurd(x, 0))), format_surd
+    if fn == "cf":
+        return (lambda x: cantor.evaluate(x, max_index)[0]), format_rational
+    table = {"h": ternary.evaluate, "hs": ternary.evaluate_signed, "recip": _reciprocal}
+    if fn not in table:
+        raise ValueError(f"not an exactly evaluable function: {fn!r}")
+    return table[fn], format_rational
+
+
 def _load_map(token: str) -> qspan.AdditiveMap:
     return qspan.load_map(token.split(":", 1)[1])
 
@@ -67,11 +78,11 @@ def _cmd_eval(args) -> int:
         value = projections.PROJECTIONS[fn](x)
         print(format_surd(value))
         return 0
-    if fn in ("h", "hs"):
+    if fn in ("h", "hs", "recip"):
         x = parse_rational(args.x)
-        value = ternary.evaluate(x) if fn == "h" else ternary.evaluate_signed(x)
-        print(format_rational(value))
-        if args.show_digits:
+        point, fmt = _rational_fn(fn, args.max_index)
+        print(fmt(point(x)))
+        if args.show_digits and fn != "recip":
             audit = ternary.digit_audit(x)
             print(f"expansion: {audit['expansion']}")
             print(f"two_positions: {audit['two_positions']}")
@@ -83,9 +94,6 @@ def _cmd_eval(args) -> int:
         value, upto = cantor.evaluate(x, args.max_index)
         print(format_rational(value))
         print(f"verified_up_to: {upto}")
-        return 0
-    if fn == "recip":
-        print(format_rational(_reciprocal(parse_rational(args.x))))
         return 0
     if fn.startswith("map:"):
         f = _load_map(fn)
@@ -130,7 +138,7 @@ def _cmd_classify(args) -> int:
         inc = qspan.format_element(cls.increment)
     else:
         raise ValueError(f"classify supports p, q, map:<file>; got {args.fn!r}")
-    if cls.kind is projections.ShiftKind.PERIOD:
+    if cls.kind is qspan.ShiftKind.PERIOD:
         print("period")
     else:
         print(f"quasiperiod increment={inc} direction={cls.direction.value}")
@@ -149,32 +157,17 @@ def _cmd_density_witness(args) -> int:
 def _sample_rows(args):
     fn = args.fn
     if fn in QUASI_FNS:
-        sign = QUASI_FNS[fn]
         start, stop, step = float(args.start), float(args.stop), float(args.step)
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [
-            (x, math.sin(x) + sign * x / 2.0)
-            for x in (start + i * step for i in range(count))
+            (x, quasi_value(fn, x)) for x in (start + i * step for i in range(count))
         ]
     start, stop, step = (
         _parse_decimal(args.start),
         _parse_decimal(args.stop),
         _parse_decimal(args.step),
     )
-    if fn in ("p", "q"):
-        point = lambda x: projections.PROJECTIONS[fn](QuadraticSurd(x, 0))
-        fmt = format_surd
-    elif fn == "h":
-        point, fmt = ternary.evaluate, format_rational
-    elif fn == "hs":
-        point, fmt = ternary.evaluate_signed, format_rational
-    elif fn == "recip":
-        point, fmt = _reciprocal, format_rational
-    elif fn == "cf":
-        point = lambda x: cantor.evaluate(x, args.max_index)[0]
-        fmt = format_rational
-    else:
-        raise ValueError(f"unknown sample function: {fn!r}")
+    point, fmt = _rational_fn(fn, args.max_index)
     rows = []
     x = start
     while x <= stop:
@@ -203,20 +196,9 @@ def _cmd_sample(args) -> int:
 def _cmd_hypo(args) -> int:
     x = parse_rational(args.x)
     y = parse_rational(args.y)
-    fn = args.fn
-    if fn == "recip":
-        value = _reciprocal(x)
-    elif fn == "h":
-        value = ternary.evaluate(x)
-    elif fn == "hs":
-        value = ternary.evaluate_signed(x)
-    elif fn == "cf":
-        value = cantor.evaluate(x, args.max_index)[0]
-    elif fn in ("p", "q"):
-        surd_value = projections.PROJECTIONS[fn](QuadraticSurd(x, 0))
-        value = surd_value.a  # rational inputs stay rational under both
-    else:
-        raise ValueError(f"hypograph needs an exactly evaluable function, got {fn!r}")
+    value = _rational_fn(args.fn, args.max_index)[0](x)
+    if isinstance(value, QuadraticSurd):
+        value = value.a  # rational inputs stay rational under p and q
     print("true" if y <= value else "false")
     return 0
 

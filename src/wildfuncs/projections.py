@@ -8,10 +8,9 @@ produces exact in-rectangle graph points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
+from .qspan import Direction, ShiftClass, ShiftKind
 from .surds import (
     LESS,
     QuadraticSurd,
@@ -19,34 +18,6 @@ from .surds import (
     surd_floor,
     surd_sign,
 )
-
-
-class ShiftKind(Enum):
-    PERIOD = "period"
-    QUASIPERIOD = "quasiperiod"
-
-
-class Direction(Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-
-
-@dataclass(frozen=True)
-class ShiftClass:
-    """Outcome of shifting a function by t: either a period (the function
-    value is unchanged) or a quasiperiod with the given nonzero increment.
-    `direction` records whether shift and increment agree in sign and is
-    None for periods."""
-
-    kind: ShiftKind
-    increment: object
-    direction: Direction | None
-
-    def __post_init__(self):
-        if (self.kind is ShiftKind.PERIOD) != (self.direction is None):
-            raise ValueError("direction is carried exactly by quasiperiods")
-        if (self.kind is ShiftKind.PERIOD) != self.increment.is_zero:
-            raise ValueError("periods are exactly the zero-increment shifts")
 
 
 def rational_component(x: QuadraticSurd) -> QuadraticSurd:

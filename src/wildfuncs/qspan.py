@@ -13,17 +13,44 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-
-from .projections import Direction, ShiftClass, ShiftKind
 
 DEFAULT_PRECISION = 128
 
 
 class UndecidedComparisonError(Exception):
     """A comparison involving named constants ran out of precision budget."""
+
+
+class ShiftKind(Enum):
+    PERIOD = "period"
+    QUASIPERIOD = "quasiperiod"
+
+
+class Direction(Enum):
+    INCREASING = "increasing"
+    DECREASING = "decreasing"
+
+
+@dataclass(frozen=True)
+class ShiftClass:
+    """Outcome of shifting a function by t: either a period (the function
+    value is unchanged) or a quasiperiod with the given nonzero increment.
+    `direction` records whether shift and increment agree in sign and is
+    None for periods."""
+
+    kind: ShiftKind
+    increment: object
+    direction: Direction | None
+
+    def __post_init__(self):
+        if (self.kind is ShiftKind.PERIOD) != (self.direction is None):
+            raise ValueError("direction is carried exactly by quasiperiods")
+        if (self.kind is ShiftKind.PERIOD) != self.increment.is_zero:
+            raise ValueError("periods are exactly the zero-increment shifts")
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +335,9 @@ def is_injective(f: AdditiveMap) -> bool:
     return rank(f) == f.basis.dim
 
 
-def is_surjective(f: AdditiveMap) -> bool:
-    # full row rank; over a square rational matrix this coincides with
-    # injectivity, which is what makes in-interval witnesses need a kernel
-    return rank(f) == f.basis.dim
+# full row rank; over a square rational matrix this coincides with
+# injectivity, which is what makes in-interval witnesses need a kernel
+is_surjective = is_injective
 
 
 def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:

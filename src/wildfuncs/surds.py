@@ -56,9 +56,6 @@ class QuadraticSurd:
         return format_surd(self)
 
 
-ZERO_SURD = QuadraticSurd(0, 0)
-
-
 def surd_sign(u: QuadraticSurd) -> int:
     """Exact sign of a + b*sqrt(2) via comparison of a*a against 2*b*b."""
     sa = (u.a > 0) - (u.a < 0)

@@ -2,8 +2,9 @@
 
 Every suite is deterministic in (trials, seed): trial i draws from its own
 generator seeded by a fixed function of (seed, i), and failures are merged
-in trial order, so identical invocations print identical reports.  Wall time
-is measured but kept out of the canonical JSON body.
+in trial order, so identical invocations print identical reports.
+`_per_trial` holds that rule for every suite but the placement audit.  Wall
+time is measured but kept out of the canonical JSON body.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from . import cantor, projections, qspan, ternary
 from .exactcore import (
+    DigitExpansion,
     cylinder_for_interval,
     from_expansion,
     to_expansion,
@@ -23,6 +25,7 @@ from .exactcore import (
 from .surds import QuadraticSurd, surd_compare
 from .qspan import (
     AdditiveMap,
+    ShiftKind,
     SpanBasis,
     SpanElement,
     apply_map,
@@ -121,173 +124,146 @@ def _rand_element(rng, basis=_BASIS_123, num_bound=20, den_bound=12) -> SpanElem
 # suites
 
 
-def _suite_expansion_roundtrip(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        x = _rand_fraction_log(rng)
-        base = 2 if rng.random() < 0.5 else 3
-        back = from_expansion(to_expansion(x, base))
-        if back != x:
-            failures.append(_fail(i, f"{x} base {base}", x, back))
-    return failures
+def _per_trial(check):
+    """Suite from a per-trial check: trial i runs check(_rng(seed, i)), and
+    each (input, expected, got) it yields is a failure, kept in trial order."""
+
+    def suite(trials, seed):
+        return [_fail(i, *f) for i in range(trials) for f in check(_rng(seed, i))]
+
+    return suite
 
 
-def _suite_expansion_canonical(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        base = 2 if rng.random() < 0.5 else 3
-        # terminating values must come out terminating, not with a top cycle
-        k = rng.randint(0, 12)
-        x = Fraction(rng.randint(-(base**k), base**k), base**k)
-        e = to_expansion(x, base)
-        if e.cycle:
-            failures.append(_fail(i, f"{x} base {base}", "terminating", e.digit_str()))
-    return failures
+@_per_trial
+def _suite_expansion_roundtrip(rng):
+    x = _rand_fraction_log(rng)
+    base = 2 if rng.random() < 0.5 else 3
+    back = from_expansion(to_expansion(x, base))
+    if back != x:
+        yield f"{x} base {base}", x, back
 
 
-def _suite_surd_order(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        u, v = _rand_surd(rng), _rand_surd(rng)
-        if surd_compare(u, v) != -surd_compare(v, u):
-            failures.append(_fail(i, (u, v), "antisymmetric", "asymmetric"))
-        a, b = _rand_fraction(rng), _rand_fraction(rng)
-        rational_cmp = (a > b) - (a < b)
-        if surd_compare(QuadraticSurd(a, 0), QuadraticSurd(b, 0)) != rational_cmp:
-            failures.append(_fail(i, (a, b), rational_cmp, "mismatch"))
-    return failures
+@_per_trial
+def _suite_expansion_canonical(rng):
+    base = 2 if rng.random() < 0.5 else 3
+    # terminating values must come out terminating, not with a top cycle
+    k = rng.randint(0, 12)
+    x = Fraction(rng.randint(-(base**k), base**k), base**k)
+    e = to_expansion(x, base)
+    if e.cycle:
+        yield f"{x} base {base}", "terminating", e.digit_str()
 
 
-def _suite_cylinder_soundness(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        l, r = _rand_interval(rng)
-        base = 2 if rng.random() < 0.5 else 3
-        cyl = cylinder_for_interval(l, r, base)
-        if not (cyl.value > l and cyl.right() < r):
-            failures.append(_fail(i, f"({l},{r}) base {base}", "inside", cyl))
-    return failures
+@_per_trial
+def _suite_surd_order(rng):
+    u, v = _rand_surd(rng), _rand_surd(rng)
+    if surd_compare(u, v) != -surd_compare(v, u):
+        yield (u, v), "antisymmetric", "asymmetric"
+    a, b = _rand_fraction(rng), _rand_fraction(rng)
+    rational_cmp = (a > b) - (a < b)
+    if surd_compare(QuadraticSurd(a, 0), QuadraticSurd(b, 0)) != rational_cmp:
+        yield (a, b), rational_cmp, "mismatch"
 
 
-def _suite_projection_identity(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        x = _rand_surd(rng)
-        back = projections.rational_component(x) + projections.radical_component(x)
-        if back != x:
-            failures.append(_fail(i, x, x, back))
-    return failures
+@_per_trial
+def _suite_cylinder_soundness(rng):
+    l, r = _rand_interval(rng)
+    base = 2 if rng.random() < 0.5 else 3
+    cyl = cylinder_for_interval(l, r, base)
+    if not (cyl.value > l and cyl.right() < r):
+        yield f"({l},{r}) base {base}", "inside", cyl
 
 
-def _suite_classify_soundness(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        fn = "p" if rng.random() < 0.5 else "q"
-        t = _rand_surd(rng, 50, 20)
-        if t.is_zero:
-            t = QuadraticSurd(1, 0)
-        cls = projections.classify_shift(fn, t)
-        proj = projections.PROJECTIONS[fn]
-        for _ in range(10):
-            x = _rand_surd(rng, 50, 20)
-            lhs = proj(x + t)
-            rhs = proj(x)
-            if cls.kind is projections.ShiftKind.QUASIPERIOD:
-                rhs = rhs + cls.increment
-            if lhs != rhs:
-                failures.append(_fail(i, (fn, t, x), rhs, lhs))
-                break
-    return failures
+@_per_trial
+def _suite_projection_identity(rng):
+    x = _rand_surd(rng)
+    back = projections.rational_component(x) + projections.radical_component(x)
+    if back != x:
+        yield x, x, back
 
 
-def _suite_density_witness(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        fn = "p" if rng.random() < 0.5 else "q"
-        x_lo, x_hi = _rand_interval(rng)
-        y_lo, y_hi = _rand_interval(rng)
-        try:
-            projections.density_witness(fn, x_lo, x_hi, y_lo, y_hi)
-        except AssertionError:
-            failures.append(
-                _fail(i, (fn, x_lo, x_hi, y_lo, y_hi), "witness", "verification failed")
-            )
-    return failures
+@_per_trial
+def _suite_classify_soundness(rng):
+    fn = "p" if rng.random() < 0.5 else "q"
+    t = _rand_surd(rng, 50, 20)
+    if t.is_zero:
+        t = QuadraticSurd(1, 0)
+    cls = projections.classify_shift(fn, t)
+    proj = projections.PROJECTIONS[fn]
+    for _ in range(10):
+        x = _rand_surd(rng, 50, 20)
+        lhs = proj(x + t)
+        rhs = proj(x)
+        if cls.kind is ShiftKind.QUASIPERIOD:
+            rhs = rhs + cls.increment
+        if lhs != rhs:
+            yield (fn, t, x), rhs, lhs
+            return
 
 
-def _suite_h_roundtrip(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        signed = rng.random() < 0.5
-        y = _rand_fraction(rng, 100, 500)
-        if not signed:
-            y = abs(y)
-        l, r = _rand_interval(rng)
-        x = ternary.preimage(y, l, r, signed=signed)
-        value = ternary.evaluate_signed(x) if signed else ternary.evaluate(x)
-        if value != y or not (l < x < r):
-            failures.append(_fail(i, (y, l, r, signed), y, value))
-    return failures
+@_per_trial
+def _suite_density_witness(rng):
+    fn = "p" if rng.random() < 0.5 else "q"
+    x_lo, x_hi = _rand_interval(rng)
+    y_lo, y_hi = _rand_interval(rng)
+    try:
+        projections.density_witness(fn, x_lo, x_hi, y_lo, y_hi)
+    except AssertionError:
+        yield (fn, x_lo, x_hi, y_lo, y_hi), "witness", "verification failed"
 
 
-def _suite_h_periodic(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        x = _rand_fraction(rng, 500, 500)
-        k = rng.randint(-5, 5)
-        a, b = ternary.shift_pair(x, k)
-        if a != b:
-            failures.append(_fail(i, (x, k), a, b))
-    return failures
+@_per_trial
+def _suite_h_roundtrip(rng):
+    signed = rng.random() < 0.5
+    y = _rand_fraction(rng, 100, 500)
+    if not signed:
+        y = abs(y)
+    l, r = _rand_interval(rng)
+    x = ternary.preimage(y, l, r, signed=signed)
+    value = ternary.evaluate_signed(x) if signed else ternary.evaluate(x)
+    if value != y or not (l < x < r):
+        yield (y, l, r, signed), y, value
 
 
-def _suite_h_zero_cases(trials, seed):
-    from .exactcore import DigitExpansion
-
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        # a cycle containing a 2 means infinitely many 2s: value 0
-        cyc = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))] + [2]
-        rng.shuffle(cyc)
-        pre = [rng.randint(0, 2) for _ in range(rng.randint(0, 4))]
-        try:
-            e = DigitExpansion(3, 1, b"", bytes(pre), bytes(cyc))
-        except ValueError:
-            continue  # the random digits missed canonical form; skip
-        x = from_expansion(e)
-        if ternary.evaluate(x) != 0:
-            failures.append(_fail(i, e.digit_str(), 0, ternary.evaluate(x)))
-        # at most one 2 anywhere: value 0
-        few = [rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
-        if rng.random() < 0.5:
-            few[rng.randrange(len(few))] = 2
-        if few[-1] == 0:
-            few[-1] = 1
-        x2 = from_expansion(DigitExpansion(3, 1, b"", bytes(few), b""))
-        if ternary.evaluate(x2) != 0:
-            failures.append(_fail(i, bytes(few), 0, ternary.evaluate(x2)))
-    return failures
+@_per_trial
+def _suite_h_periodic(rng):
+    x = _rand_fraction(rng, 500, 500)
+    k = rng.randint(-5, 5)
+    a, b = ternary.shift_pair(x, k)
+    if a != b:
+        yield (x, k), a, b
 
 
-def _suite_cantor_codec(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        y = _rand_fraction(rng, 500, 200)
-        back = cantor.decode_bits(cantor.encode_value(y))
-        if back != y:
-            failures.append(_fail(i, y, y, back))
-    return failures
+@_per_trial
+def _suite_h_zero_cases(rng):
+    # a cycle containing a 2 means infinitely many 2s: value 0
+    cyc = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))] + [2]
+    rng.shuffle(cyc)
+    pre = [rng.randint(0, 2) for _ in range(rng.randint(0, 4))]
+    try:
+        e = DigitExpansion(3, 1, b"", bytes(pre), bytes(cyc))
+    except ValueError:
+        return  # the random digits missed canonical form; skip
+    x = from_expansion(e)
+    if ternary.evaluate(x) != 0:
+        yield e.digit_str(), 0, ternary.evaluate(x)
+    # at most one 2 anywhere: value 0
+    few = [rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        few[rng.randrange(len(few))] = 2
+    if few[-1] == 0:
+        few[-1] = 1
+    x2 = from_expansion(DigitExpansion(3, 1, b"", bytes(few), b""))
+    if ternary.evaluate(x2) != 0:
+        yield bytes(few), 0, ternary.evaluate(x2)
+
+
+@_per_trial
+def _suite_cantor_codec(rng):
+    y = _rand_fraction(rng, 500, 200)
+    back = cantor.decode_bits(cantor.encode_value(y))
+    if back != y:
+        yield y, y, back
 
 
 def _suite_cantor_placement(trials, seed):
@@ -309,80 +285,62 @@ def _suite_cantor_placement(trials, seed):
     return failures
 
 
-def _suite_cantor_roundtrip(trials, seed):
-    cantor.ensure_placed(16)
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        y = _rand_fraction(rng, 100, 64)
-        l, r = _rand_cantor_interval(rng)
-        x, idx = cantor.preimage(y, l, r)
-        value, at = cantor.evaluate(x, idx + 1)
-        if value != y or at != idx or not (l < x < r):
-            failures.append(_fail(i, (y, l, r), (y, idx), (value, at)))
-    return failures
+@_per_trial
+def _suite_cantor_roundtrip(rng):
+    y = _rand_fraction(rng, 100, 64)
+    l, r = _rand_cantor_interval(rng)
+    x, idx = cantor.preimage(y, l, r)
+    value, at = cantor.evaluate(x, idx + 1)
+    if value != y or at != idx or not (l < x < r):
+        yield (y, l, r), (y, idx), (value, at)
 
 
-def _suite_additive_periodic_iff_noninjective(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        f = _rand_map(rng)
-        kernel = kernel_basis(f)
-        if bool(kernel) != (not is_injective(f)):
-            failures.append(_fail(i, f.rows, "kernel <-> non-injective", len(kernel)))
-            continue
-        if len(kernel) != f.basis.dim - rank(f):
-            failures.append(_fail(i, f.rows, "rank-nullity", len(kernel)))
-            continue
-        for k in kernel:
-            if not apply_map(f, k).is_zero:
-                failures.append(_fail(i, f.rows, "kernel member is a period", k.coords))
-                break
-    return failures
+@_per_trial
+def _suite_additive_periodic_iff_noninjective(rng):
+    f = _rand_map(rng)
+    kernel = kernel_basis(f)
+    if bool(kernel) != (not is_injective(f)):
+        yield f.rows, "kernel <-> non-injective", len(kernel)
+        return
+    if len(kernel) != f.basis.dim - rank(f):
+        yield f.rows, "rank-nullity", len(kernel)
+        return
+    for k in kernel:
+        if not apply_map(f, k).is_zero:
+            yield f.rows, "kernel member is a period", k.coords
+            return
 
 
-def _suite_additive_homogeneity(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        f = _rand_map(rng, singular_bias=0.3)
-        x, s = _rand_element(rng), _rand_element(rng)
-        if not qspan.graph_translation_identity(f, x, s):
-            failures.append(_fail(i, (f.rows, x.coords, s.coords), True, False))
-    return failures
+@_per_trial
+def _suite_additive_homogeneity(rng):
+    f = _rand_map(rng, singular_bias=0.3)
+    x, s = _rand_element(rng), _rand_element(rng)
+    if not qspan.graph_translation_identity(f, x, s):
+        yield (f.rows, x.coords, s.coords), True, False
 
 
-def _suite_additive_symmetry(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        f = _rand_map(rng, singular_bias=0.3)
-        x0, x = _rand_element(rng), _rand_element(rng)
-        if not qspan.point_symmetry_identity(f, x0, x):
-            failures.append(_fail(i, (f.rows, x0.coords, x.coords), True, False))
-    return failures
+@_per_trial
+def _suite_additive_symmetry(rng):
+    f = _rand_map(rng, singular_bias=0.3)
+    x0, x = _rand_element(rng), _rand_element(rng)
+    if not qspan.point_symmetry_identity(f, x0, x):
+        yield (f.rows, x0.coords, x.coords), True, False
 
 
-def _suite_surjection_witness(trials, seed):
-    failures = []
-    for i in range(trials):
-        rng = _rng(seed, i)
-        f = _rand_map(rng, singular_bias=1.0)
-        if is_injective(f):
-            continue
-        # over a surd basis every nonzero kernel vector has nonzero real
-        # value, so steering is always available once the kernel is nontrivial
-        y = apply_map(f, _rand_element(rng, num_bound=6, den_bound=4))
-        l, r = _rand_interval(rng, 20, 8)
-        w = surjection_witness(f, y, l, r)
-        if apply_map(f, w) != y:
-            failures.append(_fail(i, (f.rows, y.coords), y.coords, apply_map(f, w).coords))
-        elif not (
-            real_sign_offset(w, l) == 1 and real_sign_offset(w, r) == -1
-        ):
-            failures.append(_fail(i, (f.rows, y.coords, l, r), "inside", w.coords))
-    return failures
+@_per_trial
+def _suite_surjection_witness(rng):
+    f = _rand_map(rng, singular_bias=1.0)
+    if is_injective(f):
+        return
+    # over a surd basis every nonzero kernel vector has nonzero real
+    # value, so steering is always available once the kernel is nontrivial
+    y = apply_map(f, _rand_element(rng, num_bound=6, den_bound=4))
+    l, r = _rand_interval(rng, 20, 8)
+    w = surjection_witness(f, y, l, r)
+    if apply_map(f, w) != y:
+        yield (f.rows, y.coords), y.coords, apply_map(f, w).coords
+    elif not (real_sign_offset(w, l) == 1 and real_sign_offset(w, r) == -1):
+        yield (f.rows, y.coords, l, r), "inside", w.coords
 
 
 SUITES = {

@@ -2,6 +2,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -84,6 +85,25 @@ def _oracle_evaluate(x, bound):
     return F(0), bound
 
 
+def _oracle_intervals(count, max_sum=30):
+    # the enumeration rule restated: every reduced rational with
+    # |num| + den <= max_sum, sorted by (|num| + den, num); pairing code k
+    # decodes through isqrt to (s - j, j), kept when left < right
+    rationals = sorted(
+        {F(num, den) for den in range(1, max_sum + 1) for num in range(den - max_sum, max_sum - den + 1)},
+        key=lambda x: (abs(x.numerator) + x.denominator, x.numerator),
+    )
+    out, code = [], 0
+    while len(out) < count:
+        s = (isqrt(8 * code + 1) - 1) // 2
+        j = code - s * (s + 1) // 2
+        assert s < len(rationals), "raise max_sum"
+        if rationals[s - j] < rationals[j]:
+            out.append((rationals[s - j], rationals[j]))
+        code += 1
+    return out
+
+
 class TestBasisEnumeration:
     def test_first_intervals_golden(self):
         golden = [(F(-1), F(0)), (F(0), F(1)), (F(-2), F(0)), (F(-1), F(1)), (F(-1, 2), F(0))]
@@ -100,6 +120,14 @@ class TestBasisEnumeration:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             basis_interval(-1)
+
+    def test_matches_pairing_oracle(self):
+        expected = _oracle_intervals(3000)
+        assert [basis_interval(n) for n in range(3000)] == expected
+        # after a reset, one call drains the whole prefix at once
+        cantor._reset_state()
+        assert basis_interval(2999) == expected[2999]
+        assert [basis_interval(n) for n in range(3000)] == expected
 
 
 class TestPlacement:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -237,6 +238,22 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "always-fails", "--trials", "1")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+class TestPinnedDigests:
+    # sha256 of the stdout of two canonical dumps; any change to a verify
+    # report or to a Cantor placement changes them
+    def test_verify_all(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "200", "--seed", "7")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "520a341fa1ee55f6111a0775ae8051a2adb66d08c12dfea7c8684885559c9f96"
+
+    def test_cantor_dump(self, capsys):
+        code, out, _ = run(capsys, "cantor", "--max-index", "64")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "a412551d7b544e18585b8eb46c4830cb155f8e9e4550a1f5d18ca29d61908c5f"
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wildfuncs import verify
@@ -33,3 +35,24 @@ class TestRunSuite:
         assert '"passed":true' in body
         assert "wall" not in body
         assert report.wall_ms >= 0.0
+
+
+class TestPerTrial:
+    def test_matches_explicit_loop(self):
+        # 0, 1 or 2 failures per trial, each drawing from the trial's rng
+        def check(rng):
+            n = rng.randrange(3)
+            for k in range(n):
+                yield (n, k), rng.randint(0, 99), "got"
+
+        expected = []
+        for i in range(50):
+            rng = random.Random(7 * 1_000_003 + i)
+            n = rng.randrange(3)
+            for k in range(n):
+                expected.append(
+                    {"trial": i, "input": str((n, k)), "expected": str(rng.randint(0, 99)), "got": "got"}
+                )
+        assert verify._per_trial(check)(50, 7) == expected
+        per_trial = [sum(f["trial"] == i for f in expected) for i in range(50)]
+        assert {0, 1, 2} <= set(per_trial)
