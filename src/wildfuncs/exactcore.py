@@ -78,17 +78,44 @@ def _chunk_table() -> list[bytes]:
     return _CHUNK_TABLE
 
 
+# Base-3 integers of more than _SPLIT_DIGITS digits are split in halves:
+# int(s, 3) and repeated divmod by 3**10 are both quadratic.
+_SPLIT_DIGITS = 320
+_SPLIT_MIN = 3**_SPLIT_DIGITS
+
+
+def _ternary_chunks(n: int) -> bytes:
+    """Base-3 digits of n >= 0, zero-padded to a multiple of ten."""
+    table = _chunk_table()
+    parts = []
+    while n:
+        n, rem = divmod(n, _CHUNK_POW)
+        parts.append(table[rem])
+    return b"".join(reversed(parts))
+
+
+def _ternary_split(n: int, w: int, powers: dict[int, int]) -> bytes:
+    """The w base-3 digits of 0 <= n < 3**w, leading zeros kept; the powers
+    of 3 that split it are shared through `powers`."""
+    if w <= _SPLIT_DIGITS:
+        return _ternary_chunks(n)[-w:].rjust(w, b"\x00")
+    half = w >> 1
+    if half not in powers:
+        powers[half] = 3**half
+    hi, lo = divmod(n, powers[half])
+    return _ternary_split(hi, w - half, powers) + _ternary_split(lo, half, powers)
+
+
 def _int_to_digits(n: int, base: int, width: int = 0) -> bytes:
     """Digits of n >= 0 (none for 0), left-padded with zeros to `width`."""
     if base == 2:
         s = bin(n)[2:].encode("ascii").translate(_ASCII_TO_DIGITS) if n else b""
+    elif n < _SPLIT_MIN:
+        s = _ternary_chunks(n).lstrip(b"\x00")
     else:
-        table = _chunk_table()
-        parts = []
-        while n:
-            n, rem = divmod(n, _CHUNK_POW)
-            parts.append(table[rem])
-        s = b"".join(reversed(parts)).lstrip(b"\x00")
+        # 3**w > 2**bit_length, as log_3(2) < 0.631
+        w = n.bit_length() * 631 // 1000 + 1
+        s = _ternary_split(n, w, {}).lstrip(b"\x00")
     return s.rjust(width, b"\x00")
 
 
@@ -97,13 +124,13 @@ def _int_from_digits(digits: bytes, base: int) -> int:
         return 0
     if base == 2:
         return int(digits.translate(_DIGITS_TO_ASCII), 2)
-    # int(s, 3) is quadratic and refuses long strings: split in halves, with
-    # the powers of 3 shared within the call
+    # int(s, 3) refuses long strings too: split in halves, with the powers
+    # of 3 shared within the call
     powers: dict[int, int] = {}
 
     def rec(d: bytes) -> int:
         w = len(d)
-        if w <= 320:
+        if w <= _SPLIT_DIGITS:
             return int(d.translate(_DIGITS_TO_ASCII), 3)
         half = w >> 1
         if half not in powers:

@@ -16,8 +16,10 @@ from fractions import Fraction
 
 from .exactcore import (
     DigitExpansion,
+    _divide,
     _int_from_digits,
     _int_to_digits,
+    _strip_base,
     cylinder_for_interval,
     fraction_value,
     to_expansion,
@@ -25,10 +27,31 @@ from .exactcore import (
 
 _TWO = 2
 
+# Digits of the cycle read by _lead_has_two before the whole expansion is
+# built; a 2 among them decides the value.
+_LEAD_DIGITS = 64
+
 
 def _fractional_expansion(x: Fraction) -> DigitExpansion:
     x = Fraction(x)
     return to_expansion(x - (x.numerator // x.denominator), 3)
+
+
+def _lead_has_two(x: Fraction) -> bool:
+    """True when a short lead of the cycle of frac(x) holds a 2.
+
+    Past the prefix, frac(x) continues as r/m with m = den / 3**k coprime
+    to 3.  For m > 1 that tail is purely periodic, so each of its digits is
+    a cycle digit, and a 2 there means infinitely many 2s.  The lead starts
+    past the tail's leading zeros: r * 3**z < m gives z of them, and the
+    bit lengths bound z from below (log_3(2) > 10/16).
+    """
+    m = _strip_base(x.denominator, 3)[1]
+    if m == 1:
+        return False  # terminating: no cycle
+    r = x.numerator % m
+    z = max(0, (m.bit_length() - r.bit_length() - 1) * 10 // 16)
+    return _TWO in _divide(r * 3**z, m, 3, _LEAD_DIGITS)[0]
 
 
 def _locate_last_two(e: DigitExpansion) -> tuple[int, int] | None:
@@ -45,6 +68,9 @@ def _locate_last_two(e: DigitExpansion) -> tuple[int, int] | None:
 
 def evaluate(x: Fraction) -> Fraction:
     """Exact value of the unsigned map at a rational point."""
+    x = Fraction(x)
+    if _lead_has_two(x):
+        return Fraction(0)
     e = _fractional_expansion(x)
     pos = _locate_last_two(e)
     if pos is None:
@@ -56,6 +82,9 @@ def evaluate(x: Fraction) -> Fraction:
 
 def evaluate_signed(x: Fraction) -> Fraction:
     """Signed variant: the leading block digit is consumed as the sign."""
+    x = Fraction(x)
+    if _lead_has_two(x):
+        return Fraction(0)
     e = _fractional_expansion(x)
     pos = _locate_last_two(e)
     if pos is None:

@@ -51,6 +51,12 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
         assert code == 0 and out.strip() == "3,0"
 
+    def test_runaway_cycles_decided_by_their_lead(self, capsys):
+        # cycles of about 10**8 and 5*10**8 digits, each with an early 2
+        for fn, x in (("h", "1/100000037"), ("hs", "1/1000000007")):
+            code, out, _ = run(capsys, "eval", "--fn", fn, "--x", x)
+            assert code == 0 and out.strip() == "0"
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "h", "--x", "not-a-number")
         assert code == 2 and "error:" in err

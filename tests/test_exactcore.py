@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -235,6 +236,43 @@ class TestRoundTrip:
                     x = F(1, base**k * rest)
                     e = to_expansion(x, base)
                     assert (e.prefix, e.cycle) == _long_division(x, base)
+
+
+def _ternary_loop(n):
+    # one base-3 digit per divmod
+    digits = bytearray()
+    while n:
+        n, d = divmod(n, 3)
+        digits.append(d)
+    return bytes(reversed(digits))
+
+
+class TestIntToDigits:
+    def test_sizes_around_the_split(self):
+        # digit counts on both sides of each halving, with runs of zeros
+        # that the low halves must keep
+        rng = random.Random(11)
+        t = exactcore._SPLIT_DIGITS
+        for w in [1, 2, t - 1, t, t + 1, 2 * t, 2 * t + 1, 4 * t + 3, 3000]:
+            for n in (3 ** (w - 1), 3**w - 1, rng.randrange(3 ** (w - 1), 3**w),
+                      3 ** (w - 1) + rng.randrange(3 ** (w // 3))):
+                d = exactcore._int_to_digits(n, 3)
+                assert d == _ternary_loop(n)
+                assert exactcore._int_from_digits(d, 3) == n
+                assert exactcore._int_to_digits(n, 3, w + 5) == bytes(5) + d
+        assert exactcore._int_to_digits(0, 3) == b""
+
+    def test_long_integer_in_subquadratic_time(self):
+        # 10**5 digits: the one-divmod-per-chunk loop takes about 0.22 s on a
+        # 2-CPU Xeon
+        n = random.Random(12).randrange(3**99999, 3**100000)
+        best = float("inf")
+        for _ in range(2):
+            start = time.process_time()
+            d = exactcore._int_to_digits(n, 3)
+            best = min(best, time.process_time() - start)
+        assert len(d) == 100000 and exactcore._int_from_digits(d, 3) == n
+        assert best < 0.12, f"{best:.3f}s"
 
 
 class TestFractionValue:

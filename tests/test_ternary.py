@@ -1,10 +1,37 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from wildfuncs import ternary
-from wildfuncs.exactcore import DigitExpansion, from_expansion, to_expansion
+from wildfuncs.exactcore import (
+    DigitExpansion,
+    fraction_value,
+    from_expansion,
+    to_expansion,
+)
+
+
+def full_rule(x: F, signed: bool = False) -> F:
+    """h (or hs) read off the whole canonical expansion of frac(x)."""
+    e = to_expansion(x - x.numerator // x.denominator, 3)
+    if 2 in e.cycle or e.prefix.count(2) < 2:
+        return F(0)
+    j = e.prefix.rfind(2)
+    i = e.prefix.rfind(2, 0, j)
+    block = "".join(map(str, e.prefix[i + 1 : j]))
+    frac = fraction_value(e.prefix[j + 1 :], e.cycle, 2)
+    if not signed:
+        return int(block or "0", 2) + frac
+    if not block:
+        return frac
+    magnitude = int(block[1:] or "0", 2) + frac
+    return magnitude if block[0] == "1" else -magnitude
+
+
+def digits(rng, n: int, alphabet: str) -> bytes:
+    return bytes(int(rng.choice(alphabet)) for _ in range(n))
 
 
 class TestEvaluate:
@@ -35,6 +62,84 @@ class TestEvaluate:
     def test_negative_argument_uses_fractional_part(self):
         x = F(226, 243)
         assert ternary.evaluate(x - 1) == ternary.evaluate(x)
+
+
+class TestCycleLead:
+    """The lead check agrees with the full rule, decided or not."""
+
+    def check(self, x: F) -> bool:
+        assert ternary.evaluate(x) == full_rule(x), x
+        assert ternary.evaluate_signed(x) == full_rule(x, True), x
+        return ternary._lead_has_two(x)
+
+    def test_criterion_1_style_rationals(self):
+        rng = random.Random(61)
+        decided = 0
+        for _ in range(2000):
+            num = rng.randint(0, int(10 ** (rng.random() * 6)))
+            den = rng.randint(1, int(10 ** (rng.random() * 6)))
+            decided += self.check(F(num if rng.random() < 0.5 else -num, den))
+        assert decided > 1000  # the lead path, not only the fallback, ran
+
+    def test_small_tails_at_the_zero_skip_bound(self):
+        # r/m with r small against m, whose digits start with a run of zeros
+        # as long as the bit lengths allow; 3**k prefixes in front of some
+        for m in range(2, 3000):
+            if m % 3:
+                for r in (1, 2, m - 1):
+                    self.check(F(r, m))
+                self.check(F(1, 27 * m))
+
+    def test_zero_one_cycles_fall_back(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            prefix = digits(rng, rng.randint(0, 12), "012")
+            cycle = digits(rng, rng.randint(1, 90), "01")
+            x = fraction_value(prefix, cycle, 3) + rng.randint(-3, 3)
+            assert not self.check(x)
+
+    def test_late_first_two(self):
+        # the first 2 of the cycle comes after more than 64 other digits; a
+        # prefix ending in 2 would rotate that 2 to the front of the cycle
+        rng = random.Random(63)
+        for _ in range(200):
+            prefix = digits(rng, rng.randint(0, 8), "012").rstrip(b"\x02")
+            zeros = bytes(rng.choice((0, 0, 20, 80)))
+            cycle = zeros + b"\x01" + digits(rng, rng.randint(64, 120), "01")
+            cycle += b"\x02"
+            x = fraction_value(prefix, cycle, 3) - rng.randint(0, 2)
+            assert not self.check(x)
+            assert full_rule(x) == 0
+
+    def test_terminating(self):
+        rng = random.Random(64)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            assert not self.check(F(rng.randint(-(3**n) * 5, 3**n * 5), 3**n))
+
+    def test_preimage_outputs(self):
+        rng = random.Random(65)
+        for _ in range(200):
+            signed = rng.random() < 0.5
+            y = F(rng.randint(-300 if signed else 0, 300), rng.randint(1, 50))
+            l = F(rng.randint(-90, 90), rng.randint(1, 20))
+            x = ternary.preimage(y, l, l + F(1, rng.randint(1, 40)), signed)
+            assert not self.check(x)
+
+
+class TestRunawayInputs:
+    """Long cycles with an early 2 are decided without being built."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [F(1, 100000037), F(1, 1000000007), F(1, 10**40 + 7), F(-5, 10**60 + 3)],
+        ids=["1/100000037", "1/1000000007", "1/(10**40+7)", "-5/(10**60+3)"],
+    )
+    @pytest.mark.parametrize("fn", [ternary.evaluate, ternary.evaluate_signed])
+    def test_decided_in_under_a_second(self, fn, x):
+        start = time.perf_counter()
+        assert fn(x) == 0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEvaluateSigned:
