@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactcore import _int_from_digits, _int_to_digits, fraction_value, to_expansion
+from .exactcore import _int_from_digits, fraction_value, to_expansion
 
 _lock = threading.RLock()
 
@@ -260,35 +260,25 @@ def decode_bits(s: BitStream) -> Fraction:
     m = z - 1
     ipart = _int_from_digits(bytes(s.bit(z + 1 + t) for t in range(m)), 2)
     start = z + 1 + m
-    if start >= len(s.prefix):
-        if s.cycle:
-            n = len(s.cycle)
-            off = (start - len(s.prefix)) % n
-            rotated = s.cycle[off:] + s.cycle[:off]
-            frac = Fraction(_int_from_digits(rotated, 2), (1 << n) - 1)
-        else:
-            frac = Fraction(0)
-    else:
-        frac = fraction_value(s.prefix[start:], s.cycle, 2)
+    # fraction bits that start inside the cycle start a rotation of it
+    off = max(0, start - len(s.prefix)) % (len(s.cycle) or 1)
+    frac = fraction_value(s.prefix[start:], s.cycle[off:] + s.cycle[:off], 2)
     return sign * (ipart + frac)
 
 
 def encode_value(y: Fraction) -> BitStream:
     """Right inverse of decode_bits on every rational (zero encodes as +)."""
     y = Fraction(y)
-    sign_bit = 0 if y < 0 else 1
-    mag = abs(y)
-    ipart = mag.numerator // mag.denominator
-    int_bits = _int_to_digits(ipart, 2)
-    frac = to_expansion(mag - ipart, 2)
+    bits = to_expansion(abs(y), 2)
+    int_bits = bits.integer_digits
     prefix = (
-        bytes([sign_bit])
+        bytes([0 if y < 0 else 1])
         + bytes([1]) * len(int_bits)
         + b"\x00"
         + int_bits
-        + frac.prefix
+        + bits.prefix
     )
-    return BitStream(prefix, frac.cycle)
+    return BitStream(prefix, bits.cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def _parse_rect(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return tuple(parse_rational(p) for p in parts)  # type: ignore[return-value]
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _reciprocal(x: Fraction) -> Fraction:
     return 1 / x if x > 0 else Fraction(0)
 
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a function exactly")
     p_eval.add_argument("--fn", required=True)
     p_eval.add_argument("--x", required=True)
-    p_eval.add_argument("--max-index", type=int, default=32)
+    p_eval.add_argument("--max-index", type=nonnegative_int, default=32)
     p_eval.add_argument("--show-digits", action="store_true")
     p_eval.set_defaults(run=_cmd_eval)
 
@@ -273,23 +281,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--step", required=True)
     p_smp.add_argument("--out", required=True)
     p_smp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_smp.add_argument("--max-index", type=int, default=32)
+    p_smp.add_argument("--max-index", type=nonnegative_int, default=32)
     p_smp.set_defaults(run=_cmd_sample)
 
     p_hyp = sub.add_parser("hypo", help="hypograph membership y <= f(x)")
     p_hyp.add_argument("--fn", required=True)
     p_hyp.add_argument("--x", required=True)
     p_hyp.add_argument("--y", required=True)
-    p_hyp.add_argument("--max-index", type=int, default=32)
+    p_hyp.add_argument("--max-index", type=nonnegative_int, default=32)
     p_hyp.set_defaults(run=_cmd_hypo)
 
     p_can = sub.add_parser("cantor", help="placement audit dump (JSON lines)")
-    p_can.add_argument("--max-index", type=int, required=True)
+    p_can.add_argument("--max-index", type=nonnegative_int, required=True)
     p_can.set_defaults(run=_cmd_cantor)
 
     p_ver = sub.add_parser("verify", help="run a seeded property suite")
     p_ver.add_argument("--suite", required=True)
-    p_ver.add_argument("--trials", type=int, default=200)
+    p_ver.add_argument("--trials", type=nonnegative_int, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(run=_cmd_verify)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qspan import Direction, ShiftClass, ShiftKind
+from .qspan import Direction, ShiftClass, ShiftKind, shift_class  # noqa: F401 (re-exported)
 from .surds import (
     LESS,
     QuadraticSurd,
@@ -39,17 +39,7 @@ def classify_shift(fn: str, t: QuadraticSurd) -> ShiftClass:
     """
     if fn not in PROJECTIONS:
         raise ValueError(f"unknown projection: {fn!r}")
-    if t.is_zero:
-        raise ValueError("shift must be nonzero")
-    inc = PROJECTIONS[fn](t)
-    if inc.is_zero:
-        return ShiftClass(ShiftKind.PERIOD, inc, None)
-    direction = (
-        Direction.INCREASING
-        if surd_sign(t) == surd_sign(inc)
-        else Direction.DECREASING
-    )
-    return ShiftClass(ShiftKind.QUASIPERIOD, inc, direction)
+    return shift_class(t, PROJECTIONS[fn](t), surd_sign)
 
 
 def simplest_dyadic_between(lo: QuadraticSurd, hi: QuadraticSurd) -> Fraction:

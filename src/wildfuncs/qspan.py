@@ -53,6 +53,24 @@ class ShiftClass:
             raise ValueError("periods are exactly the zero-increment shifts")
 
 
+def shift_class(t, increment, sign) -> ShiftClass:
+    """Classify the nonzero shift t whose increment is given: a period when
+    the increment is zero, else a quasiperiod whose direction compares
+    sign(t) with sign(increment).  `sign` returns -1, 0, +1, or None when
+    it cannot decide."""
+    if t.is_zero:
+        raise ValueError("shift must be nonzero")
+    if increment.is_zero:
+        return ShiftClass(ShiftKind.PERIOD, increment, None)
+    st, si = sign(t), sign(increment)
+    if st is None or si is None or st == 0 or si == 0:
+        raise UndecidedComparisonError(
+            "shift direction is undecided at the configured precision"
+        )
+    direction = Direction.INCREASING if st == si else Direction.DECREASING
+    return ShiftClass(ShiftKind.QUASIPERIOD, increment, direction)
+
+
 # ---------------------------------------------------------------------------
 # certified enclosures for the built-in named constants
 
@@ -360,23 +378,10 @@ def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
 # certified real-line questions
 
 
-def _irrational_support(x: SpanElement) -> bool:
-    return any(
-        q != 0 and s.kind != "one" for q, s in zip(x.coords, x.basis.symbols)
-    )
-
-
 def _opaque_support(x: SpanElement) -> bool:
     return any(
         q != 0 and s.kind == "opaque" for q, s in zip(x.coords, x.basis.symbols)
     )
-
-
-def _rational_part(x: SpanElement) -> Fraction:
-    for q, s in zip(x.coords, x.basis.symbols):
-        if s.kind == "one":
-            return q
-    return Fraction(0)
 
 
 def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
@@ -399,11 +404,12 @@ def real_sign_offset(
     x: SpanElement, offset: Fraction, precision_budget: int = DEFAULT_PRECISION
 ) -> int | None:
     """Exact sign of value(x) - offset; None only when opaque symbols are
-    involved and the precision budget runs out."""
+    involved and the precision budget runs out.
+
+    Surds never equal the rational offset, so their enclosures separate
+    from it; a rational x has an exact enclosure, lo == hi.
+    """
     offset = Fraction(offset)
-    if not _irrational_support(x):
-        diff = _rational_part(x) - offset
-        return (diff > 0) - (diff < 0)
     opaque = _opaque_support(x)
     bits = 32
     while True:
@@ -412,6 +418,8 @@ def real_sign_offset(
             return 1
         if hi < offset:
             return -1
+        if lo == hi:
+            return 0
         if opaque and bits >= precision_budget:
             return None
         bits *= 2
@@ -438,19 +446,9 @@ def classify_shift(
 ) -> ShiftClass:
     """Period when f(t) = 0, else quasiperiod with increment f(t); the
     direction compares the real-value signs of t and f(t)."""
-    if t.is_zero:
-        raise ValueError("shift must be nonzero")
-    increment = apply_map(f, t)
-    if increment.is_zero:
-        return ShiftClass(ShiftKind.PERIOD, increment, None)
-    st = real_sign(t, precision_budget)
-    si = real_sign(increment, precision_budget)
-    if st is None or si is None or st == 0 or si == 0:
-        raise UndecidedComparisonError(
-            "shift direction is undecided at the configured precision"
-        )
-    direction = Direction.INCREASING if st == si else Direction.DECREASING
-    return ShiftClass(ShiftKind.QUASIPERIOD, increment, direction)
+    return shift_class(
+        t, apply_map(f, t), lambda v: real_sign(v, precision_budget)
+    )
 
 
 def surjection_witness(

@@ -13,6 +13,9 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 
+from .exactcore import parse_rational
+from .qspan import _sqrt_enclosure
+
 LESS, EQUAL, GREATER = -1, 0, 1
 
 _SURD_RE = re.compile(r"^(-?\d+(?:/\d+)?)\+(-?\d+(?:/\d+)?)\*s2$")
@@ -103,8 +106,7 @@ def surd_floor(u: QuadraticSurd) -> int:
 
 def sqrt2_enclosure(bits: int) -> tuple[Fraction, Fraction]:
     """Certified bounds lo <= sqrt(2) < hi with hi - lo = 2**-bits."""
-    lo = Fraction(isqrt(2 << (2 * bits)), 1 << bits)
-    return lo, lo + Fraction(1, 1 << bits)
+    return _sqrt_enclosure(2, bits)
 
 
 def parse_surd(text: str) -> QuadraticSurd:
@@ -112,9 +114,7 @@ def parse_surd(text: str) -> QuadraticSurd:
     text = text.strip()
     m = _SURD_RE.match(text)
     if m:
-        return QuadraticSurd(Fraction(m.group(1)), Fraction(m.group(2)))
-    from .exactcore import parse_rational
-
+        return QuadraticSurd(parse_rational(m.group(1)), parse_rational(m.group(2)))
     return QuadraticSurd(parse_rational(text), 0)
 
 

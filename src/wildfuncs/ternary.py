@@ -18,7 +18,6 @@ from .exactcore import (
     DigitExpansion,
     _divide,
     _int_from_digits,
-    _int_to_digits,
     _strip_base,
     cylinder_for_interval,
     fraction_value,
@@ -66,32 +65,35 @@ def _locate_last_two(e: DigitExpansion) -> tuple[int, int] | None:
     return i, j
 
 
-def evaluate(x: Fraction) -> Fraction:
-    """Exact value of the unsigned map at a rational point."""
+def _binary_tail(x: Fraction) -> tuple[bytes, Fraction] | None:
+    """(digits strictly between the last two 2s, binary value of the digits
+    after the last 2) for frac(x), or None when the map is 0 there."""
     x = Fraction(x)
     if _lead_has_two(x):
-        return Fraction(0)
+        return None
     e = _fractional_expansion(x)
     pos = _locate_last_two(e)
     if pos is None:
-        return Fraction(0)
+        return None
     i, j = pos
-    ipart = _int_from_digits(e.prefix[i + 1 : j], 2)
-    return ipart + fraction_value(e.prefix[j + 1 :], e.cycle, 2)
+    return e.prefix[i + 1 : j], fraction_value(e.prefix[j + 1 :], e.cycle, 2)
+
+
+def evaluate(x: Fraction) -> Fraction:
+    """Exact value of the unsigned map at a rational point."""
+    tail = _binary_tail(x)
+    if tail is None:
+        return Fraction(0)
+    block, frac = tail
+    return _int_from_digits(block, 2) + frac
 
 
 def evaluate_signed(x: Fraction) -> Fraction:
     """Signed variant: the leading block digit is consumed as the sign."""
-    x = Fraction(x)
-    if _lead_has_two(x):
+    tail = _binary_tail(x)
+    if tail is None:
         return Fraction(0)
-    e = _fractional_expansion(x)
-    pos = _locate_last_two(e)
-    if pos is None:
-        return Fraction(0)
-    i, j = pos
-    block = e.prefix[i + 1 : j]
-    frac = fraction_value(e.prefix[j + 1 :], e.cycle, 2)
+    block, frac = tail
     if not block:
         return frac
     magnitude = _int_from_digits(block[1:], 2) + frac
@@ -120,14 +122,12 @@ def preimage(
     if not signed and y < 0:
         raise ValueError("unsigned mode requires y >= 0")
     cyl = cylinder_for_interval(l, r, 3)
-    mag = abs(y)
-    int_bits = _int_to_digits(mag.numerator // mag.denominator, 2)
-    frac_bits = to_expansion(mag - mag.numerator // mag.denominator, 2)
-    block = int_bits
+    bits = to_expansion(abs(y), 2)
+    block = bits.integer_digits
     if signed:
         block = bytes([0 if y < 0 else 1]) + block
-    suffix_prefix = bytes([_TWO]) + block + bytes([_TWO]) + frac_bits.prefix
-    tail = fraction_value(suffix_prefix, frac_bits.cycle, 3)
+    suffix_prefix = bytes([_TWO]) + block + bytes([_TWO]) + bits.prefix
+    tail = fraction_value(suffix_prefix, bits.cycle, 3)
     return cyl.value + tail / 3**cyl.depth
 
 

@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 from wildfuncs import cantor
+from wildfuncs.exactcore import _int_to_digits, to_expansion
 from wildfuncs.cantor import (
     AffineCantor,
     BitStream,
@@ -253,6 +254,90 @@ class TestCodec:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitStream(bytes([2]), b"")
+
+    @staticmethod
+    def _decode_oracle(prefix, cycle):
+        # the stream read bit by bit; the fraction bits past the header are
+        # periodic, so they sum as a geometric series of one n-bit block
+        def bit(i):
+            return prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)]
+
+        z = 1
+        while bit(z) == 1:
+            z += 1
+        m = z - 1
+        ipart = 0
+        for t in range(m):
+            ipart = 2 * ipart + bit(z + 1 + t)
+        start = z + 1 + m
+        assert start >= len(prefix)  # the fraction starts inside the cycle
+        n = len(cycle)
+        block = int("".join(str(bit(start + k)) for k in range(n)), 2)
+        frac = F(block, 1 << n) / (1 - F(1, 1 << n))
+        return (1 if bit(0) == 1 else -1) * (ipart + frac)
+
+    def _check_offsets(self, rng, cycle_tail, offsets):
+        # prefix = sign, unary run of m ones, 0; the cycle opens with the m
+        # integer bits, so the fraction starts at offset m of the cycle
+        n = len(cycle_tail)
+        for off in offsets:
+            sign = rng.randint(0, 1)
+            prefix = bytes([sign]) + b"\x01" * off + b"\x00"
+            cycle = bytes(rng.randint(0, 1) for _ in range(off)) + cycle_tail[off:]
+            assert len(cycle) == n
+            got = decode_bits(BitStream(prefix, cycle))
+            assert got == self._decode_oracle(prefix, cycle), (n, off)
+
+    def test_decode_fraction_inside_cycle_every_offset(self):
+        rng = random.Random(83)
+        for n in (1, 2, 3, 5, 8, 13):
+            for _ in range(4):
+                tail = bytes(rng.randint(0, 1) for _ in range(n))
+                self._check_offsets(rng, tail, range(n))
+
+    def test_decode_unary_run_inside_cycle(self):
+        # the unary run, its 0 and the integer bits all come from the cycle
+        rng = random.Random(89)
+        for m in range(0, 6):
+            for extra in range(1, 5):
+                ibits = bytes(rng.randint(0, 1) for _ in range(m))
+                rest = bytes(rng.randint(0, 1) for _ in range(extra))
+                for sign in (0, 1):
+                    prefix = bytes([sign])
+                    cycle = b"\x01" * m + b"\x00" + ibits + rest
+                    got = decode_bits(BitStream(prefix, cycle))
+                    assert got == self._decode_oracle(prefix, cycle)
+
+    def test_decode_long_cycle_inside(self):
+        rng = random.Random(97)
+        n = 8003
+        tail = bytes(rng.randint(0, 1) for _ in range(n))
+        self._check_offsets(rng, tail, (0, 1, 2, 7, 64, 4001, n - 2, n - 1))
+
+    def test_decode_long_cycle_small_denominator(self):
+        # 1/8053 has a binary cycle of 8052 bits.  With k integer bits read
+        # off the cycle, the stream holds the bits of 2**k/8053, and its
+        # fraction starts at offset k: 2**k/8053 mod 1, a small denominator
+        cycle = to_expansion(F(1, 8053), 2).cycle
+        assert len(cycle) == 8052
+        for k in (0, 1, 5, 4000, 8051):
+            stream = BitStream(b"\x01" * (k + 1) + b"\x00", cycle)
+            assert decode_bits(stream) == F(2**k, 8053)
+            assert decode_bits(stream) == self._decode_oracle(stream.prefix, stream.cycle)
+
+    def test_encode_matches_split_rule(self):
+        # the rule as once written: the integer bits of |y| rendered alone,
+        # then the binary expansion of its fractional part
+        rng = random.Random(101)
+        for _ in range(500):
+            y = F(rng.randint(-10**6, 10**6), rng.randint(1, 5000))
+            mag = abs(y)
+            ipart = mag.numerator // mag.denominator
+            int_bits = _int_to_digits(ipart, 2)
+            frac = to_expansion(mag - ipart, 2)
+            prefix = bytes([0 if y < 0 else 1]) + b"\x01" * len(int_bits) + b"\x00"
+            want = BitStream(prefix + int_bits + frac.prefix, frac.cycle)
+            assert encode_value(y) == want, y
 
 
 class TestEvaluate:

@@ -61,6 +61,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--fn", "h", "--x", "not-a-number")
         assert code == 2 and "error:" in err
 
+    def test_zero_denominator_rational(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "h", "--x", "1/0")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: zero denominator in rational literal: '1/0'"
+
+    def test_zero_denominator_surd(self, capsys):
+        for x in ("1/0+1*s2", "1+3/0*s2"):
+            code, out, err = run(capsys, "eval", "--fn", "p", "--x", x)
+            assert code == 2 and out == ""
+            assert "zero denominator in rational literal" in err and "/0'" in err
+
     def test_exact_output_parses_back(self, capsys):
         _, out, _ = run(capsys, "eval", "--fn", "h", "--x", "70/81")
         assert parse_rational(out.strip()) * 2 == 3
@@ -246,9 +257,35 @@ class TestVerifyCommand:
         assert json.loads(out)["passed"] is False
 
 
+class TestCountOptions:
+    # --max-index and --trials take integers >= 0; a negative one is a
+    # usage error before any work starts
+    def test_negative_max_index(self, capsys):
+        for argv in (("cantor",), ("eval", "--fn", "cf", "--x", "1/4"),
+                     ("hypo", "--fn", "cf", "--x", "1/4", "--y", "0")):
+            code, out, err = run(capsys, *argv, "--max-index=-3")
+            assert code == 2 and out == ""
+            assert "usage:" in err and "--max-index: must be >= 0, got -3" in err
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "h-roundtrip", "--trials=-1")
+        assert code == 2 and out == ""
+        assert "usage:" in err and "--trials: must be >= 0, got -1" in err
+
+    def test_not_an_integer(self, capsys):
+        code, _, err = run(capsys, "cantor", "--max-index", "x")
+        assert code == 2 and "usage:" in err
+
+    def test_zero_is_valid(self, capsys):
+        code, out, _ = run(capsys, "cantor", "--max-index", "0")
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "verify", "--suite", "h-roundtrip", "--trials", "0")
+        assert code == 0 and json.loads(out)["trials"] == 0
+
+
 class TestPinnedDigests:
-    # sha256 of the stdout of two canonical dumps; any change to a verify
-    # report or to a Cantor placement changes them
+    # sha256 of the stdout of canonical dumps; any change to a verify
+    # report, a Cantor placement, a digit audit or a preimage changes them
     def test_verify_all(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "200", "--seed", "7")
         assert code == 0
@@ -260,6 +297,31 @@ class TestPinnedDigests:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "a412551d7b544e18585b8eb46c4830cb155f8e9e4550a1f5d18ca29d61908c5f"
+
+    def test_show_digits(self, capsys):
+        out = ""
+        for fn in ("h", "hs"):
+            for x in ("226/243", "70/81", "1/3", "5/7", "-13/9", "2/27"):
+                code, o, _ = run(capsys, "eval", "--fn", fn, f"--x={x}", "--show-digits")
+                assert code == 0
+                out += o
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "d1cbe44a825426a94b33970d97aeaf601ec6e9800d01e6b2cca8f6ed8c55fe6b"
+
+    def test_preimages(self, capsys):
+        cases = (
+            ("h", "5/8", "1/2,2/3"), ("h", "0", "0,1"), ("h", "22/7", "-1,1/3"), ("h", "1/3", "5,6"),
+            ("hs", "-5/2", "0,1"), ("hs", "7/3", "1/4,1/3"), ("hs", "0", "-2,-1"),
+            ("cf", "-4/3", "0,1"), ("cf", "5/2", "1/3,2/3"), ("cf", "0", "-1,0"),
+            ("cf", "1/7", "-1/2,1/2"), ("cf", "-22/7", "0,1"),
+        )
+        out = ""
+        for fn, y, interval in cases:
+            code, o, _ = run(capsys, "preimage", "--fn", fn, f"--y={y}", f"--interval={interval}")
+            assert code == 0
+            out += o
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ee175c1a0e24723a57f1552c6511e10d3e145b2f5428cf6ea9ff2f01af80984c"
 
 
 class TestUsage:

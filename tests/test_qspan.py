@@ -207,6 +207,33 @@ class TestRealCompare:
         mid = (lo + hi) / 2
         assert real_sign_offset(u, mid, precision_budget=64) is None
 
+    def test_rational_elements_against_offset(self):
+        # rational-only elements have exact enclosures: below, equal to and
+        # above the offset are all decided, on every kind of basis
+        rng = random.Random(107)
+        bases = [
+            (SpanBasis.from_strings(["1"]), 0),
+            (B123, 0),
+            (SpanBasis.from_strings(["sqrt:5", "1", "opaque:pi"]), 1),
+            (SpanBasis.from_strings(["opaque:e", "1"]), 1),
+        ]
+        for basis, unit in bases:
+            for _ in range(40):
+                q = F(rng.randint(-50, 50), rng.randint(1, 9))
+                coords = [0] * basis.dim
+                coords[unit] = q
+                x = elem(basis, *coords)
+                for offset, want in ((q - F(1, 97), 1), (q, 0), (q + F(1, 97), -1)):
+                    assert real_sign_offset(x, offset) == want
+                    assert real_sign_offset(x, offset, precision_budget=1) == want
+
+    def test_zero_element_without_unit(self):
+        basis = SpanBasis.from_strings(["sqrt:2", "opaque:pi"])
+        zero = elem(basis, 0, 0)
+        assert real_sign_offset(zero, F(0)) == 0
+        assert real_sign_offset(zero, F(-1, 3)) == 1
+        assert real_sign_offset(zero, F(1, 3)) == -1
+
 
 class TestEnclosures:
     def test_pi_window_narrows(self):

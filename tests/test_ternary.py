@@ -7,6 +7,8 @@ import pytest
 from wildfuncs import ternary
 from wildfuncs.exactcore import (
     DigitExpansion,
+    _int_to_digits,
+    cylinder_for_interval,
     fraction_value,
     from_expansion,
     to_expansion,
@@ -220,6 +222,28 @@ class TestPreimage:
     def test_rationality_preserved(self):
         # evaluation of rationals lands on rationals by construction
         assert isinstance(ternary.evaluate(F(70, 81)), F)
+
+    def test_matches_split_rule(self):
+        # the rule as once written: the integer bits of |y| rendered alone,
+        # then the binary expansion of its fractional part, read in base 3
+        rng = random.Random(103)
+        for _ in range(500):
+            signed = rng.random() < 0.5
+            y = F(rng.randint(-10**5, 10**5), rng.randint(1, 3000))
+            if not signed:
+                y = abs(y)
+            l = F(rng.randint(-900, 900), rng.randint(1, 30))
+            r = l + F(rng.randint(1, 60), rng.randint(1, 300))
+            cyl = cylinder_for_interval(l, r, 3)
+            mag = abs(y)
+            ipart = mag.numerator // mag.denominator
+            block = _int_to_digits(ipart, 2)
+            if signed:
+                block = bytes([0 if y < 0 else 1]) + block
+            frac = to_expansion(mag - ipart, 2)
+            tail = fraction_value(b"\x02" + block + b"\x02" + frac.prefix, frac.cycle, 3)
+            want = cyl.value + tail / 3**cyl.depth
+            assert ternary.preimage(y, l, r, signed=signed) == want, (y, l, r)
 
 
 class TestAudit:
