@@ -4,30 +4,35 @@ that maps Cantor points onto exactly representable targets.
 
 The enumeration, the inductive placement rule and the codec are all
 deterministic, so every placement is a pure function of its index.
-The enumeration is one generator, `_intervals`, drained on demand into a
-list of basis intervals.  Placements are memoized sequentially (each
-depends on all previous ones); a lock guards extension of both memos,
-reads of finished entries are free.
 
-A placement works in integer coordinates: it keeps the earlier hulls that
-meet its basis interval, puts them over one common denominator, and refines
-their cover one level at a time by scaling by 3 and splitting each segment
-into its outer thirds.  Only the chosen hull becomes a Fraction again.
-Evaluation skips every set whose closed hull misses x by an integer
-cross-multiplication before it forms the set's coordinate of x.
+One placement object, `_state`, holds the enumeration (one generator,
+`_intervals`, drained on demand into a list of basis intervals), the
+placement records, and the hulls as a laminar forest: any two closed hulls
+are nested or disjoint, so the roots sort into one row and each hull's
+children into another, each child tagged with the gap of its parent's
+cover that holds it.  Placements are memoized sequentially (each depends
+on all previous ones); the object's lock guards every extension and every
+walk of the forest, reads of finished records and basis intervals are free.
+
+A placement finds the hulls that meet its basis interval by bisecting the
+roots and walking down.  At each cover depth only the visible hulls count,
+and their covers are disjoint, so the covered length is a sum of widths,
+clipped only for the few hulls that hold an endpoint; the widest gap comes
+from walking the visible covers widest first.  Coordinates are integers
+over one denominator; only the chosen hull becomes a Fraction again.
+Evaluation walks the one chain of hulls that hold x.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .exactcore import _int_from_digits, fraction_value, to_expansion
-
-_lock = threading.RLock()
 
 # ---------------------------------------------------------------------------
 # enumeration of rationals and of basis intervals
@@ -41,7 +46,7 @@ def _intervals():
     left < right.
     """
     rationals, total = [], 0  # every value with |num| + den <= total
-    for s in itertools.count():
+    for s in count():
         while len(rationals) <= s:
             total += 1
             for num in range(1 - total, total):
@@ -53,18 +58,182 @@ def _intervals():
                 yield rationals[s - j], rationals[j]
 
 
-_basis: list[tuple[Fraction, Fraction]] = []
-_enumeration = _intervals()
+class _Level:
+    """Disjoint closed hulls in left-to-right order, as integers over the
+    common denominator: the roots of the forest, or the hulls directly
+    inside one hull."""
+
+    __slots__ = ("starts", "ends", "ids")
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.ids: list[int] = []
+
+    def meeting(self, lo: int, hi: int) -> list[int]:
+        """Hulls that meet the open interval (lo, hi), in order."""
+        return self.ids[bisect_right(self.ends, lo) : bisect_left(self.starts, hi)]
+
+    def around(self, x: int, den: int = 1) -> int | None:
+        """The hull whose closed hull holds x / den, if any."""
+        j = bisect_right(self.starts, x // den) - 1
+        return self.ids[j] if j >= 0 and x <= self.ends[j] * den else None
+
+    def insert(self, c: int, d: int, i: int) -> None:
+        j = bisect_left(self.starts, c)
+        self.starts.insert(j, c)
+        self.ends.insert(j, d)
+        self.ids.insert(j, i)
+
+
+_LEAF = _Level()  # the children of every hull that has none; never filled
+
+
+def _gap_of(n: int, m: int, depth: int) -> tuple[int, int]:
+    """(level, position) of the gap of the unit Cantor cover that holds n/m:
+    the first ternary digit 1 of n/m is at that level, and the 0/2 digits
+    before it, read as bits, give the gap's place among the 2**(level - 1)
+    gaps of its level.  A hull placed at cover depth `depth` lies in a gap
+    of level at most `depth` of the hull around it."""
+    position = 0
+    for level in range(1, depth + 1):
+        digit, n = divmod(3 * n, m)
+        if digit == 1:
+            return level, position
+        position = 2 * position + digit // 2
+    raise RuntimeError("a new hull lies in no gap of the hull around it")
+
+
+# Hull denominators keep gaining factors of 2 and 3 (a hull is 1/4 of the
+# way into a gap at some cover depth), so den takes more of both than it
+# needs whenever it grows, and rescales rarely.
+_HEADROOM = 2**32 * 3**16
+
+
+class _Placement:
+    """Memoized enumeration and placements, and the hulls as a forest.
+
+    Any two closed hulls are nested or disjoint: a hull is chosen inside a
+    gap of the earlier covers, and an earlier hull's endpoints lie in its
+    cover at every depth.  So each hull lies in one gap of the cover of the
+    least hull around it, its parent, which has a smaller index.  The
+    forest keeps the sorted roots, each hull's children, and per child the
+    (level, position) of the parent's gap that holds it.
+
+    Coordinates are integers over one denominator, den, that every basis
+    interval and hull met so far divides; it grows, rarely, by rescaling.
+    For each hull with children it also keeps, over the hull and all hulls
+    inside it, their widths summed by reach (the deepest gap level on the
+    path down from the hull, so the least cover depth at which they are
+    visible from it) and, per cover depth, the widest interval inside the
+    hull that no cover holds.  A new hull adds its width to the first along
+    its ancestors, and drops the second where the new hull lands inside it.
+    """
+
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.enumeration = _intervals()
+        self.basis: list[tuple[Fraction, Fraction]] = []
+        self.records: list[dict] = []
+        self.den = 1
+        self.spans: list[tuple[int, int]] = []  # (c * den, d * den) per hull
+        self.roots = _Level()
+        self.children: list[_Level] = []  # _LEAF until a hull has children
+        self.parents: list[int | None] = []
+        self.gaps: list[tuple[int, int] | None] = []
+        self.masses: dict[int, list[int]] = {}  # see mass
+        self.widest: dict[tuple[int, int], tuple[int, int]] = {}  # see free
+        self.deepest = 0  # the deepest cover depth in widest
+
+    def widen(self, *dens: int) -> None:
+        """Make den a multiple of dens."""
+        scale = lcm(self.den, *dens) // self.den
+        if scale > 1:
+            scale *= _HEADROOM
+            self.den *= scale
+            # in place, so that the old and the new values are not all held
+            # at once; the levels share their ints with spans
+            for j, (c, d) in enumerate(self.spans):
+                self.spans[j] = c * scale, d * scale
+            for level in {id(level): level for level in (self.roots, *self.children)}.values():
+                level.starts[:] = [self.spans[p][0] for p in level.ids]
+                level.ends[:] = [self.spans[p][1] for p in level.ids]
+            for mass in self.masses.values():
+                mass[:] = [m * scale for m in mass]
+            for key, (width, neg) in self.widest.items():
+                self.widest[key] = width * scale, neg * scale
+
+    def add(self, rec: dict) -> None:
+        c, d, i = rec["c"], rec["d"], rec["index"]
+        self.widen(c.denominator, d.denominator)
+        c, d = c.numerator * (self.den // c.denominator), d.numerator * (self.den // d.denominator)
+        level, parent, gap = self.roots, None, None
+        while (p := level.around(c)) is not None:
+            pc, pd = self.spans[p]
+            level, parent, gap = self.children[p], p, _gap_of(c - pc, pd - pc, rec["depth"])
+        if level is _LEAF:
+            level = self.children[parent] = _Level()
+        level.insert(c, d, i)
+        self.spans.append((c, d))
+        self.children.append(_LEAF)
+        self.parents.append(parent)
+        self.gaps.append(gap)
+        reach = 0
+        while parent is not None:
+            reach = max(reach, self.gaps[i][0])
+            mass = self.masses.setdefault(parent, self.mass(parent))
+            mass.extend([0] * (reach + 1 - len(mass)))
+            mass[reach] += d - c
+            # the new hull splits the free interval it lies in; only when
+            # that was the widest does the widest change
+            for k in range(reach, self.deepest + 1):
+                width, neg = self.widest.get((parent, k), (0, 0))
+                if -neg < c * 3**k < width - neg:
+                    del self.widest[parent, k]
+            i, parent = parent, self.parents[parent]
+        self.records.append(rec)  # last: a record is read without the lock
+
+    def mass(self, p: int) -> list[int]:
+        """The widths of hull p and the hulls inside it, by reach."""
+        return self.masses.get(p) or [self.spans[p][1] - self.spans[p][0]]
+
+    def free(self, p: int, k: int) -> tuple[int, int]:
+        """(width, -left) of the widest interval inside hull p that no
+        depth-k cover holds, leftmost on ties, over den * 3**k."""
+        got = self.widest.get((p, k))
+        if got is None:
+            s = 3**k
+            c, d = self.spans[p]
+            walk = _Walk(self, k, c * s, d * s)
+            walk.cover(p, c * s, d - c)
+            got = self.widest[p, k] = walk.best
+            self.deepest = max(self.deepest, k)
+        return got
+
+    def chain(self, x: Fraction, bound: int) -> list[int]:
+        """Indices below bound whose closed hull holds x, outermost first."""
+        out, level = [], self.roots
+        with self.lock:
+            xn, xd = x.numerator * self.den, x.denominator
+            while (p := level.around(xn, xd)) is not None and p < bound:
+                out.append(p)
+                level = self.children[p]
+        return out
+
+
+_state = _Placement()
 
 
 def basis_interval(n: int) -> tuple[Fraction, Fraction]:
     """n-th interval of the fixed enumeration (see _intervals)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    with _lock:
-        while len(_basis) <= n:
-            _basis.append(next(_enumeration))
-    return _basis[n]
+    st = _state
+    if n >= len(st.basis):  # the list only grows: a drained entry needs no lock
+        with st.lock:
+            while len(st.basis) <= n:
+                st.basis.append(next(st.enumeration))
+    return st.basis[n]
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +253,6 @@ class AffineCantor:
             raise ValueError("need c < d")
 
 
-_records: list[dict] = []
-# (c.numerator, c.denominator, d.numerator, d.denominator) of each record's hull
-_hulls: list[tuple[int, int, int, int]] = []
-
-
 def _clipped_cover(c: Fraction, d: Fraction, lo: Fraction, hi: Fraction, t: int):
     """Level-t cover intervals of the Cantor set on [c, d] that meet (lo, hi)."""
     if d <= lo or c >= hi:
@@ -101,95 +265,205 @@ def _clipped_cover(c: Fraction, d: Fraction, lo: Fraction, hi: Fraction, t: int)
     )
 
 
-def _place(i: int) -> dict:
-    """Hull of the i-th Cantor set, chosen against the earlier ones.
+def _covered_in(x: int, w: int, m: int, lo: int, hi: int) -> int:
+    """Length inside [lo, hi] of the level-m cover of the Cantor set on
+    [x, x + w * 3**m], whose segments have width w."""
+    span = w * 3**m
+    if x + span <= lo or x >= hi:
+        return 0
+    if lo <= x and x + span <= hi:
+        return w << m
+    if m == 0:
+        return min(x + w, hi) - max(x, lo)
+    return _covered_in(x, w, m - 1, lo, hi) + _covered_in(x + 2 * span // 3, w, m - 1, lo, hi)
 
-    Only earlier hulls meeting (a, b) can cover any of it.  They are put on
-    integers over one common denominator q; each deeper cover level scales
-    every coordinate by 3 and splits each surviving segment into its outer
-    thirds, keeping those that still meet (a, b), as _clipped_cover does.
-    The cover is refined until it covers less than half of (a, b); the
-    hull is the middle half of its widest gap, leftmost on ties.
+
+class _Walk:
+    """The widest interval of (lo, hi) that no depth-k cover holds.
+
+    Coordinates are integers over den * 3**k, where each depth-k segment
+    has the width of its hull over den.  A free interval is a piece of
+    (lo, hi), or of a gap of a visible cover, between the visible hulls in
+    it; or a gap of a visible cover that holds no visible hull.  Hulls
+    within (lo, hi) answer from their cached widest interval.  A hull's
+    free intervals are no wider than its middle gap, so hulls are looked at
+    widest first, until that bound cannot beat the best interval found.
     """
+
+    def __init__(self, st: _Placement, k: int, lo: int, hi: int):
+        self.st, self.k, self.s, self.lo, self.hi = st, k, 3**k, lo, hi
+        self.best = (0, 0)  # (width, -left), so leftmost wins ties
+
+    def offer(self, left: int, right: int) -> None:
+        if left < self.lo:
+            left = self.lo
+        if right > self.hi:
+            right = self.hi
+        if right > left and (right - left, -left) > self.best:
+            self.best = (right - left, -left)
+
+    def region(self, level: _Level, j0: int, j1: int, left: int, right: int) -> None:
+        """The free intervals of (left, right), which holds the sibling hulls
+        level.ids[j0:j1]: the pieces between them and those inside them."""
+        st, k, s, lo, hi = self.st, self.k, self.s, self.lo, self.hi
+        starts, ends, ids = level.starts, level.ends, level.ids
+        # the hulls that meet (lo, hi), and the free pieces between them;
+        # lo and hi are multiples of s
+        j0 = bisect_right(ends, lo // s, j0, j1)
+        j1 = bisect_left(starts, hi // s, j0, j1)
+        for j in range(j0, j1):
+            self.offer(left, starts[j] * s)
+            left = ends[j] * s
+        self.offer(left, right)
+        if not k or j0 == j1:
+            return
+        # the middle gap of a hull [x, x + w] is (w, -(3x + w)) over den * 3;
+        # it bounds the hull's free intervals, and is the widest of them when
+        # the hull is within (lo, hi) and holds no hull
+        tip = s // 3
+        order = sorted(
+            ((ends[j] - starts[j], -2 * starts[j] - ends[j], j) for j in range(j0, j1)), reverse=True
+        )
+        for w, _, j in order:
+            x = starts[j] * s
+            if lo <= x and ends[j] * s <= hi and not st.children[ids[j]].ids:
+                self.offer(x + w * tip, x + 2 * w * tip)
+                break
+        for w, neg3, j in order:
+            if (w * tip, neg3 * tip) <= self.best:
+                break
+            x = starts[j] * s
+            if lo <= x and ends[j] * s <= hi:
+                width, neg = st.free(ids[j], k)
+                self.offer(-neg, width - neg)
+            else:
+                self.cover(ids[j], x, w)
+
+    def cover(self, p: int, x: int, w: int) -> None:
+        """The free intervals in the gaps of hull p's depth-k cover, which
+        starts at x in segments of width w."""
+        children = self.st.children[p]
+        held = {}  # gap -> [j0, j1) of the children in it, for gap levels <= k
+        for j, ch in enumerate(children.ids):
+            gap = self.st.gaps[ch]
+            if gap[0] <= self.k:
+                held[gap] = held.get(gap, (j,))[0], j + 1
+        self._segment(children, held, x, w, self.k, 0, 0)
+
+    def _segment(self, children, held, x, w, m, level, position) -> None:
+        # the cover below one level-`level` segment, [x, x + w * 3**m]
+        span = w * 3**m
+        third = span // 3
+        if m == 0 or x + span <= self.lo or x >= self.hi or (third, -x) <= self.best:
+            return
+        # within (lo, hi), and with no hull in its gaps, the middle gap is widest
+        if (
+            self.lo <= x
+            and x + span <= self.hi
+            and not any(g > level and gp >> (g - 1 - level) == position for g, gp in held)
+        ):
+            self.offer(x + third, x + 2 * third)
+            return
+        slot = held.get((level + 1, position))
+        if slot:
+            self.region(children, *slot, x + third, x + 2 * third)
+        else:
+            self.offer(x + third, x + 2 * third)
+        self._segment(children, held, x, w, m - 1, level + 1, 2 * position)
+        self._segment(children, held, x + 2 * third, w, m - 1, level + 1, 2 * position + 1)
+
+
+def _place(i: int) -> dict:
+    """Hull of the i-th Cantor set, chosen against placements 0..i-1.
+
+    The cover of the earlier sets is refined one depth at a time until it
+    covers less than half of (a, b); the hull is the middle half of its
+    widest gap in (a, b), leftmost on ties, as _clipped_cover would give.
+    At cover depth k a hull is visible when it and every hull around it sit
+    in gaps of level at most k of their parents' covers; any other hull
+    lies inside a segment of a visible cover.  Visible covers are disjoint,
+    so the covered length is (2/3)**k times the summed width of the visible
+    hulls within (a, b), plus the clipped covers of the few visible hulls
+    that hold a or b.
+    """
+    st = _state
+    if i != len(st.records):
+        raise ValueError("placements are built in index order")
     a, b = basis_interval(i)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    near = [  # d > a and c < b
-        (cn, cd, dn, dd)
-        for cn, cd, dn, dd in _hulls[:i]
-        if dn * ad > an * dd and cn * bd < bn * cd
-    ]
-    q = lcm(ad, bd, *(cd for _, cd, _, _ in near), *(dd for _, _, _, dd in near))
-    lo, hi = an * (q // ad), bn * (q // bd)
-    segments = [(cn * (q // cd), dn * (q // dd)) for cn, cd, dn, dd in near]
-    depth = 0
+    st.widen(a.denominator, b.denominator)
+    den = st.den
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    # the visible width within (a, b), by the least depth that shows it:
+    # the roots within (a, b) are summed at once; below the roots that hold
+    # a or b, their children are sorted the same way, each with its reach
+    near = st.roots.meeting(lo, hi)
+    inner = [p for p in near if lo <= st.spans[p][0] and st.spans[p][1] <= hi]
+    widths = dict(enumerate(map(sum, zip_longest(*map(st.mass, inner), fillvalue=0))))
+    edges, stack = [], [(p, 0) for p in set(near).difference(inner)]
+    while stack:
+        p, v = stack.pop()
+        c, d = st.spans[p]
+        edges.append((c, d - c, v))  # a hull holding a or b
+        for ch in st.children[p].meeting(lo, hi):
+            reach = max(v, st.gaps[ch][0])
+            c, d = st.spans[ch]
+            if lo <= c and d <= hi:
+                for r, mass in enumerate(st.mass(ch)):
+                    widths[max(r, reach)] = widths.get(max(r, reach), 0) + mass
+            else:
+                stack.append((ch, reach))
+    depth, inside = 0, 0
     while True:
-        # one sweep of the sorted cover: the length it covers beyond lo, and
-        # its widest gap in (lo, hi), leftmost on ties
-        covered, cursor, best = 0, lo, None
-        for s, e in sorted(segments) + [(hi, hi)]:
-            if s > cursor:
-                if best is None or s - cursor > best[1] - best[0]:
-                    best = (cursor, s)
-                covered += e - s
-                cursor = e
-            elif e > cursor:
-                covered += e - cursor
-                cursor = e
-        if 2 * (covered - (cursor - hi)) < hi - lo:
+        s = 3**depth
+        inside += widths.get(depth, 0)
+        covered = (inside << depth) + sum(
+            _covered_in(c * s, w, depth, lo * s, hi * s) for c, w, v in edges if v <= depth
+        )
+        if 2 * covered < s * (hi - lo):
             break
         depth += 1
-        q, lo, hi = 3 * q, 3 * lo, 3 * hi
-        finer = []
-        for s, e in segments:
-            s, e, w = 3 * s, 3 * e, e - s
-            if s + w > lo and s < hi:
-                finer.append((s, s + w))
-            if e > lo and e - w < hi:
-                finer.append((e - w, e))
-        segments = finer
-    left, right = best
+    walk = _Walk(st, depth, lo * s, hi * s)
+    walk.region(st.roots, 0, len(st.roots.ids), lo * s, hi * s)
+    width, neg = walk.best
+    left, right, q = -neg, width - neg, 4 * den * s
     return {
         "index": i,
         "a": a,
         "b": b,
-        "c": Fraction(3 * left + right, 4 * q),
-        "d": Fraction(left + 3 * right, 4 * q),
+        "c": Fraction(3 * left + right, q),
+        "d": Fraction(left + 3 * right, q),
         "depth": depth,
     }
 
 
 def ensure_placed(count: int) -> None:
     """Pre-build placements 0..count-1 (idempotent, thread-safe)."""
-    with _lock:
-        while len(_records) < count:
-            rec = _place(len(_records))
-            c, d = rec["c"], rec["d"]
-            _hulls.append((c.numerator, c.denominator, d.numerator, d.denominator))
-            _records.append(rec)
+    st = _state
+    if len(st.records) >= count:
+        return
+    with st.lock:
+        while len(st.records) < count:
+            st.add(_place(len(st.records)))
 
 
 def placement_record(i: int) -> dict:
     """Audit record for placement i: index, interval, hull and cover depth."""
     ensure_placed(i + 1)
-    return dict(_records[i])
+    return dict(_state.records[i])
 
 
 def place_cantor(i: int) -> AffineCantor:
     if i < 0:
         raise ValueError("index must be non-negative")
     ensure_placed(i + 1)
-    rec = _records[i]
+    rec = _state.records[i]
     return AffineCantor(i, rec["c"], rec["d"])
 
 
 def _reset_state() -> None:
     # test hook: drops every memoized enumeration and placement
-    global _enumeration
-    with _lock:
-        _basis.clear()
-        _records.clear()
-        _hulls.clear()
-        _enumeration = _intervals()
+    global _state
+    _state = _Placement()
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +573,10 @@ def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:
     if bound < 1:
         raise ValueError("bound must be positive")
     x = Fraction(x)
-    xn, xd = x.numerator, x.denominator
     ensure_placed(bound)
-    for i in range(bound):
-        cn, cd, dn, dd = _hulls[i]
-        if cn * xd > xn * cd or xn * dd > dn * xd:
-            continue  # x is outside the closed hull [c, d]
-        rec = _records[i]
+    st = _state
+    for i in st.chain(x, bound):
+        rec = st.records[i]
         t = (x - rec["c"]) / (rec["d"] - rec["c"])
         digits = _unit_digits(t)
         if digits is not None:

@@ -88,10 +88,12 @@ def _cmd_eval(args) -> int:
         return 0
     if fn in ("h", "hs", "recip"):
         x = parse_rational(args.x)
-        point, fmt = _rational_fn(fn, args.max_index)
-        print(fmt(point(x)))
-        if args.show_digits and fn != "recip":
-            audit = ternary.digit_audit(x)
+        if not args.show_digits or fn == "recip":
+            point, fmt = _rational_fn(fn, args.max_index)
+            print(fmt(point(x)))
+        else:
+            audit = ternary.digit_audit(x)  # one expansion gives the value and the digits
+            print(audit["value"] if fn == "h" else audit["value_signed"])
             print(f"expansion: {audit['expansion']}")
             print(f"two_positions: {audit['two_positions']}")
             print(f"block_digits: {audit['block_digits'] or '-'}")

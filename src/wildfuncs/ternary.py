@@ -65,32 +65,33 @@ def _locate_last_two(e: DigitExpansion) -> tuple[int, int] | None:
     return i, j
 
 
-def _binary_tail(x: Fraction) -> tuple[bytes, Fraction] | None:
+def _read_tail(e: DigitExpansion, pos: tuple[int, int] | None) -> tuple[bytes, Fraction] | None:
     """(digits strictly between the last two 2s, binary value of the digits
-    after the last 2) for frac(x), or None when the map is 0 there."""
-    x = Fraction(x)
-    if _lead_has_two(x):
-        return None
-    e = _fractional_expansion(x)
-    pos = _locate_last_two(e)
+    after the last 2) of a fractional expansion whose last two 2s are at
+    pos, or None when the map is 0 there."""
     if pos is None:
         return None
     i, j = pos
     return e.prefix[i + 1 : j], fraction_value(e.prefix[j + 1 :], e.cycle, 2)
 
 
-def evaluate(x: Fraction) -> Fraction:
-    """Exact value of the unsigned map at a rational point."""
-    tail = _binary_tail(x)
+def _binary_tail(x: Fraction) -> tuple[bytes, Fraction] | None:
+    """_read_tail for frac(x), after the lead check."""
+    x = Fraction(x)
+    if _lead_has_two(x):
+        return None
+    e = _fractional_expansion(x)
+    return _read_tail(e, _locate_last_two(e))
+
+
+def _unsigned_value(tail: tuple[bytes, Fraction] | None) -> Fraction:
     if tail is None:
         return Fraction(0)
     block, frac = tail
     return _int_from_digits(block, 2) + frac
 
 
-def evaluate_signed(x: Fraction) -> Fraction:
-    """Signed variant: the leading block digit is consumed as the sign."""
-    tail = _binary_tail(x)
+def _signed_value(tail: tuple[bytes, Fraction] | None) -> Fraction:
     if tail is None:
         return Fraction(0)
     block, frac = tail
@@ -98,6 +99,16 @@ def evaluate_signed(x: Fraction) -> Fraction:
         return frac
     magnitude = _int_from_digits(block[1:], 2) + frac
     return magnitude if block[0] == 1 else -magnitude
+
+
+def evaluate(x: Fraction) -> Fraction:
+    """Exact value of the unsigned map at a rational point."""
+    return _unsigned_value(_binary_tail(x))
+
+
+def evaluate_signed(x: Fraction) -> Fraction:
+    """Signed variant: the leading block digit is consumed as the sign."""
+    return _signed_value(_binary_tail(x))
 
 
 def shift_pair(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
@@ -132,16 +143,18 @@ def preimage(
 
 
 def digit_audit(x: Fraction) -> dict:
-    """Digit-level trace of one evaluation, for display."""
+    """Digit-level trace of one evaluation, for display; both values are
+    read off the one expansion it shows."""
     e = _fractional_expansion(x)
     pos = _locate_last_two(e)
+    tail = _read_tail(e, pos)
     audit = {
         "expansion": e.digit_str(),
         "two_positions": None,
         "block_digits": "",
         "tail_digits": "",
-        "value": str(evaluate(x)),
-        "value_signed": str(evaluate_signed(x)),
+        "value": str(_unsigned_value(tail)),
+        "value_signed": str(_signed_value(tail)),
     }
     if pos is not None:
         i, j = pos

@@ -1,12 +1,14 @@
+import hashlib
 import random
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
-from wildfuncs import cantor
+from wildfuncs import cantor, cli
 from wildfuncs.exactcore import _int_to_digits, to_expansion
 from wildfuncs.cantor import (
     AffineCantor,
@@ -70,6 +72,63 @@ def _oracle_records(count):
             {"index": i, "a": a, "b": b, "c": g + quarter, "d": h - quarter, "depth": depth}
         )
     return records
+
+
+def _integer_oracle(count):
+    # the integer rule as written before the hull forest: every earlier
+    # hull that meets (a, b), over one common denominator q; each deeper
+    # level scales by 3 and splits every segment into its outer thirds,
+    # keeping those that still meet (a, b); one sweep of the sorted cover
+    # gives the covered length and the widest gap, leftmost on ties
+    hulls, records = [], []
+    for i in range(count):
+        a, b = basis_interval(i)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        near = [h for h in hulls if h[2] * ad > an * h[3] and h[0] * bd < bn * h[1]]
+        q = lcm(ad, bd, *(h[1] for h in near), *(h[3] for h in near))
+        lo, hi = an * (q // ad), bn * (q // bd)
+        segments = [(cn * (q // cd), dn * (q // dd)) for cn, cd, dn, dd in near]
+        depth = 0
+        while True:
+            covered, cursor, best = 0, lo, None
+            for s, e in sorted(segments) + [(hi, hi)]:
+                if s > cursor:
+                    if best is None or s - cursor > best[1] - best[0]:
+                        best = (cursor, s)
+                    covered += e - s
+                    cursor = e
+                elif e > cursor:
+                    covered += e - cursor
+                    cursor = e
+            if 2 * (covered - (cursor - hi)) < hi - lo:
+                break
+            depth += 1
+            q, lo, hi = 3 * q, 3 * lo, 3 * hi
+            finer = []
+            for s, e in segments:
+                s, e, w = 3 * s, 3 * e, e - s
+                if s + w > lo and s < hi:
+                    finer.append((s, s + w))
+                if e > lo and e - w < hi:
+                    finer.append((e - w, e))
+            segments = finer
+        left, right = best
+        c, d = F(3 * left + right, 4 * q), F(left + 3 * right, 4 * q)
+        records.append({"index": i, "a": a, "b": b, "c": c, "d": d, "depth": depth})
+        hulls.append((c.numerator, c.denominator, d.numerator, d.denominator))
+    return records
+
+
+def _first_gap(t):
+    # level of the first ternary digit 1 of t in (0, 1), and the index of
+    # the level-sized cell it opens
+    cell = 0
+    for level in range(1, 64):
+        cell = 3 * cell + int(3 * t)
+        t = 3 * t - int(3 * t)
+        if cell % 3 == 1:
+            return level, cell
+    raise AssertionError("no ternary digit 1 among the first 63")
 
 
 def _oracle_evaluate(x, bound):
@@ -167,6 +226,41 @@ class TestPlacement:
             assert rec == expected[i]
             assert [type(rec[k]) for k in "abcd"] == [F] * 4
 
+    def test_matches_integer_oracle(self):
+        expected = _integer_oracle(1000)
+        for i, want in enumerate(expected):
+            rec = placement_record(i)
+            for key in ("index", "a", "b", "c", "d", "depth"):
+                assert rec[key] == want[key], (i, key)
+
+    def test_hulls_form_a_laminar_forest(self):
+        # a sweep by left end: each hull is strictly inside the last open
+        # hull that has not ended before it, or starts after every open hull
+        count = 1000
+        recs = [placement_record(i) for i in range(count)]
+        parents, open_hulls = [None] * count, []
+        for i in sorted(range(count), key=lambda i: recs[i]["c"]):
+            c, d = recs[i]["c"], recs[i]["d"]
+            while open_hulls and recs[open_hulls[-1]]["d"] < c:
+                open_hulls.pop()
+            if open_hulls:
+                p = open_hulls[-1]
+                assert recs[p]["c"] < c and d < recs[p]["d"], (p, i)
+                assert p < i
+                parents[i] = p
+            open_hulls.append(i)
+        assert [cantor._state.parents[i] for i in range(count)] == parents
+        for i, p in enumerate(parents):
+            if p is None:
+                continue
+            # the child lies in one open gap of the parent's cover, of a
+            # level no deeper than the child's own cover depth
+            pc, width = recs[p]["c"], recs[p]["d"] - recs[p]["c"]
+            tc, td = (recs[i]["c"] - pc) / width, (recs[i]["d"] - pc) / width
+            level, cell = _first_gap(tc)
+            assert F(cell, 3**level) < tc and td < F(cell + 1, 3**level), (p, i)
+            assert level <= recs[i]["depth"], (p, i)
+
     def test_placement_scales(self):
         # placing 0..399 took 12 s when every depth rescanned every earlier
         # set in Fractions; integer refinement takes under a second
@@ -195,6 +289,41 @@ class TestPlacement:
             for cs in triple:
                 rec = baseline[cs.index]
                 assert (cs.c, cs.d) == (rec["c"], rec["d"])
+
+    def test_evaluations_while_the_forest_grows(self):
+        # evaluations walk the forest while other threads insert hulls into
+        # it; each must match a serial run
+        rng = random.Random(64)
+        jobs = []
+        for k in range(48):
+            rec = placement_record(rng.randrange(100))
+            jobs.append((rec["c"] + (rec["d"] - rec["c"]) / 4, 20 + 2 * k))
+            jobs.append((F(rng.randint(-300, 300), rng.randint(1, 50)), 20 + 2 * k))
+        cantor._reset_state()
+        want = [cantor.evaluate(x, bound) for x, bound in jobs]
+        cantor._reset_state()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: cantor.evaluate(*job), jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+
+class TestDumpDigests:
+    # sha256 of `cantor --max-index N`, generated before the hull forest
+    @pytest.mark.parametrize(
+        "count, digest",
+        [
+            (300, "7978912f20f03b7293c07d79fb30cd4455a125708715c2621acb121980ff4370"),
+            (2300, "9f74882592f5785c71afb3e98bf59ff7121d1b1434c9e0f2bb293cb8cf58e763"),
+        ],
+    )
+    def test_dump(self, capsys, count, digest):
+        assert cli.main(["cantor", "--max-index", str(count)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestMembership:

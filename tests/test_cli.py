@@ -4,7 +4,9 @@ import json
 import math
 import subprocess
 import sys
+import time
 
+from wildfuncs import cantor, ternary
 from wildfuncs.cli import main
 from wildfuncs.exactcore import parse_rational
 from wildfuncs.surds import parse_surd
@@ -50,6 +52,21 @@ class TestEval:
         path.write_text(json.dumps({"basis": ["1", "sqrt:2"], "matrix": [["1", "0"], ["0", "0"]]}))
         code, out, _ = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
         assert code == 0 and out.strip() == "3,0"
+
+    def test_show_digits_expands_once(self, capsys, monkeypatch):
+        calls = []
+        expand = ternary.to_expansion
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(ternary, "to_expansion", counted)
+        for fn in ("h", "hs"):
+            calls.clear()
+            code, out, _ = run(capsys, "eval", "--fn", fn, "--x", "70/81", "--show-digits")
+            assert code == 0 and out.splitlines()[0] == ("3/2" if fn == "h" else "1/2")
+            assert len(calls) == 1
 
     def test_runaway_cycles_decided_by_their_lead(self, capsys):
         # cycles of about 10**8 and 5*10**8 digits, each with an early 2
@@ -102,6 +119,16 @@ class TestPreimage:
     def test_empty_interval(self, capsys):
         code, _, err = run(capsys, "preimage", "--fn", "h", "--y", "1", "--interval", "1/3,1/3")
         assert code == 2
+
+    def test_runaway_cf_literals(self, capsys):
+        # the least basis intervals inside these are indices 2053 and 2227;
+        # placing that many sets from cold took 10-12 s before the hull forest
+        for interval in ("1/3,1/2", "2,3"):
+            cantor._reset_state()
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "preimage", "--fn", "cf", "--y", "1/2", "--interval", interval)
+            assert time.perf_counter() - start < 4, interval
+            assert code == 0 and out.strip().endswith(": OK")
 
 
 class TestClassify:
@@ -322,6 +349,13 @@ class TestPinnedDigests:
             out += o
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "ee175c1a0e24723a57f1552c6511e10d3e145b2f5428cf6ea9ff2f01af80984c"
+
+    def test_far_cf_preimage(self, capsys):
+        # index 2227; taken apart from the set above, where it took 12 s
+        code, out, _ = run(capsys, "preimage", "--fn", "cf", "--y", "1/7", "--interval", "2,3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f186d60ade458a6758f8583d2026f396a5d4bbcce4948583385f264bc5539949"
 
 
 class TestUsage:

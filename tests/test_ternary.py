@@ -260,3 +260,23 @@ class TestAudit:
         audit = ternary.digit_audit(F(1, 3))
         assert audit["two_positions"] is None
         assert audit["value"] == "0"
+
+    def test_one_expansion_per_audit(self, monkeypatch):
+        # both values are read off the expansion the audit shows; they
+        # agree with evaluate, which takes the lead check first
+        calls = []
+        expand = ternary.to_expansion
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        points = [F(226, 243), F(70, 81), F(1, 3), F(5, 7), F(-13, 9), F(2, 27), F(1, 1000)]
+        points.append(ternary.preimage(F(22, 7), F(-1), F(1, 3), signed=True))
+        monkeypatch.setattr(ternary, "to_expansion", counted)
+        for x in points:
+            calls.clear()
+            audit = ternary.digit_audit(x)
+            assert len(calls) == 1, x
+            assert audit["value"] == str(ternary.evaluate(x))
+            assert audit["value_signed"] == str(ternary.evaluate_signed(x))
