@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd
 
@@ -236,6 +237,45 @@ class TestRoundTrip:
                     x = F(1, base**k * rest)
                     e = to_expansion(x, base)
                     assert (e.prefix, e.cycle) == _long_division(x, base)
+
+
+def _divide_by_digit(r, m, count):
+    # one base-3 digit per divmod
+    digits = bytearray()
+    for _ in range(count):
+        q, r = divmod(3 * r, m)
+        digits.append(q)
+    return bytes(digits), r
+
+
+class TestDivideLanes:
+    def test_matches_one_digit_per_divmod(self):
+        # counts around the lane cutoff and off multiples of 5 and of 5 *
+        # lanes; bit lengths where the lane width steps, and around the cap
+        rng = random.Random(21)
+        low, cap = exactcore._LANE_MIN_COUNT, exactcore._LANE_MAX_BITS
+        counts = (low - 1, low, low + 1, low + 3, 7777, 20003)
+        for bits in sorted({15, 16, 23, 24, 63, 64, cap, cap + 1}):
+            for m in (2 ** (bits - 1) + 1, 2**bits - 1, rng.randrange(2 ** (bits - 1), 2**bits)):
+                for r in (0, 1, m - 1, rng.randrange(m)):
+                    for count in counts:
+                        got = exactcore._divide(r, m, 3, count)
+                        assert got == _divide_by_digit(r, m, count), (bits, m, r, count)
+
+    def test_lane_memory(self):
+        # the result and the digit buffer it is copied from: about 2 bytes a
+        # digit at the peak, as the ten-digit loop
+        import tracemalloc
+
+        count = 712300
+        tracemalloc.start()
+        try:
+            digits, _ = exactcore._divide(12345, 712301, 3, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(digits) == count
+        assert peak <= 2.5 * count, f"{peak / count:.2f} bytes per digit"
 
 
 def _ternary_loop(n):
