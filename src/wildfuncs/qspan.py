@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 DEFAULT_PRECISION = 128
 
@@ -127,6 +127,9 @@ def register_opaque(name: str, encloser) -> None:
     OPAQUE_ENCLOSURES[name] = encloser
 
 
+_UNIT_ENCLOSURE = (Fraction(1), Fraction(1))
+
+
 @lru_cache(maxsize=None)
 def _sqrt_enclosure(d: int, bits: int) -> tuple[Fraction, Fraction]:
     lo = Fraction(isqrt(d << (2 * bits)), 1 << bits)
@@ -191,7 +194,7 @@ class Symbol:
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         if self.kind == "one":
-            return Fraction(1), Fraction(1)
+            return _UNIT_ENCLOSURE
         if self.kind == "sqrt":
             return _sqrt_enclosure(self.radicand, bits)
         return OPAQUE_ENCLOSURES[self.name](bits)
@@ -203,6 +206,9 @@ class SpanBasis:
 
     Independence is checkable (and checked) only for the unit-and-surd case:
     distinct squarefree radicands plus at most one unit are independent.
+    A repeated symbol of any kind is rejected: it would make the identity
+    look injective while the difference of the two copies has no decidable
+    sign.
     """
 
     symbols: tuple[Symbol, ...]
@@ -211,11 +217,8 @@ class SpanBasis:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("basis needs at least one symbol")
-        if sum(1 for s in self.symbols if s.kind == "one") > 1:
-            raise ValueError("at most one unit symbol")
-        radicands = [s.radicand for s in self.symbols if s.kind == "sqrt"]
-        if len(radicands) != len(set(radicands)):
-            raise ValueError("surd radicands must be pairwise distinct")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise ValueError("basis symbols must be pairwise distinct")
 
     @classmethod
     def from_strings(cls, items) -> "SpanBasis":
@@ -293,27 +296,41 @@ def apply_map(f: AdditiveMap, x: SpanElement) -> SpanElement:
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = [list(r) for r in rows]
+    """Reduced row echelon form and pivot columns, by fraction-free
+    elimination.  Each row is scaled to integers and eliminated as
+    `pv*a - f*b`, then divided by its content, so each row stays a nonzero
+    multiple of the row a Fraction elimination would hold: the zero tests,
+    the pivots and the reduced rows are the same.  Only the pivot rows
+    become Fractions again, divided by their pivot."""
+    m = []
+    for r in rows:
+        den = lcm(*(v.denominator for v in r))
+        m.append([v.numerator * (den // v.denominator) for v in r])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
     row = 0
     for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = m[row][col]
-        m[row] = [v / inv for v in m[row]]
+        prow = m[row]
+        pv = prow[col]
         for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            f = m[r][col]
+            if r != row and f:
+                new = [pv * a - f * b for a, b in zip(m[r], prow)]
+                g = gcd(*new)
+                m[r] = [v // g for v in new] if g > 1 else new
         pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    reduced = [[Fraction(v, r[pc]) for v in r] for r, pc in zip(m, pivots)]
+    reduced += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    return reduced, pivots
 
 
 def rank(f: AdditiveMap) -> int:
@@ -385,19 +402,24 @@ def _opaque_support(x: SpanElement) -> bool:
 
 
 def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds on the real value of x at the given precision."""
-    lo = hi = Fraction(0)
+    """Certified bounds on the real value of x at the given precision,
+    summed as integer numerators over one running denominator per bound."""
+    lo_n = hi_n = 0
+    lo_d = hi_d = 1
     for q, sym in zip(x.coords, x.basis.symbols):
-        if q == 0:
+        if not q:
             continue
         slo, shi = sym.enclosure(bits)
-        if q > 0:
-            lo += q * slo
-            hi += q * shi
-        else:
-            lo += q * shi
-            hi += q * slo
-    return lo, hi
+        if q < 0:
+            slo, shi = shi, slo
+        qn, qd = q.numerator, q.denominator
+        d = qd * slo.denominator
+        lo_n = lo_n * d + qn * slo.numerator * lo_d
+        lo_d *= d
+        d = qd * shi.denominator
+        hi_n = hi_n * d + qn * shi.numerator * hi_d
+        hi_d *= d
+    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
 def real_sign_offset(
@@ -460,9 +482,15 @@ def surjection_witness(
 ) -> SpanElement:
     """Exact x with f(x) = y whose real value lies strictly in (l, r).
 
-    Solves for one preimage, then steers it along a kernel element of
-    nonzero real value; the dyadic coefficient is found on refining grids
-    and every candidate is admitted only after exact interval checks.
+    Solves for one preimage x0, then steers it along a kernel element of
+    nonzero real value; the dyadic coefficient c is found on refining grids.
+    At each grid the enclosures of x0 and the steer already bound the value
+    of x0 + c*steer, so a candidate they place at or below l, or at or above
+    r, is skipped without being built.  Every other candidate is admitted
+    only after the exact checks against l and then r, in grid order, so the
+    witness is the first candidate the exact checks admit.  A skipped
+    candidate is never checked, so one whose check would have run out of
+    budget no longer raises.
     """
     l, r = Fraction(l), Fraction(r)
     if l >= r:
@@ -495,7 +523,15 @@ def surjection_witness(
             scale = 1 << depth
             base_m = (est.numerator * scale) // est.denominator
             for m in range(base_m - 2, base_m + 4):
-                x = x0 + steer.scale(Fraction(m, scale))
+                c = Fraction(m, scale)
+                # value(x0) + c*value(steer) over the enclosures in hand
+                if m >= 0:
+                    lo, hi = v0_lo + c * vk_lo, v0_hi + c * vk_hi
+                else:
+                    lo, hi = v0_lo + c * vk_hi, v0_hi + c * vk_lo
+                if hi <= l or lo >= r:
+                    continue
+                x = x0 + steer.scale(c)
                 s_lo = real_sign_offset(x, l, precision_budget)
                 if s_lo is None:
                     raise UndecidedComparisonError("interval check undecided")

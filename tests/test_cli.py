@@ -53,6 +53,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
         assert code == 0 and out.strip() == "3,0"
 
+    def test_map_file_repeated_symbol_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "basis": ["1", "opaque:pi", "opaque:pi"],
+            "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        }))
+        code, out, err = run(capsys, "eval", "--fn", f"map:{path}", "--x", "0,1,-1")
+        assert code == 2 and out == "" and "pairwise distinct" in err
+        code, _, err = run(capsys, "classify", "--fn", f"map:{path}", "--shift", "0,1,-1")
+        assert code == 2 and "pairwise distinct" in err
+
     def test_show_digits_expands_once(self, capsys, monkeypatch):
         calls = []
         expand = ternary.to_expansion

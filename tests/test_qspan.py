@@ -11,6 +11,7 @@ from wildfuncs.qspan import (
     SpanElement,
     Symbol,
     UndecidedComparisonError,
+    _rref,
     apply_map,
     classify_shift,
     enclosure_value,
@@ -23,6 +24,7 @@ from wildfuncs.qspan import (
     point_symmetry_identity,
     rank,
     real_compare,
+    real_sign,
     real_sign_offset,
     solve_image,
     surjection_witness,
@@ -78,6 +80,14 @@ class TestBasisValidation:
     def test_reject_unknown_opaque(self):
         with pytest.raises(ValueError):
             SpanBasis.from_strings(["opaque:zeta3"])
+
+    def test_reject_repeated_opaque(self):
+        # a repeated constant made the identity look injective while
+        # real_sign(pi - pi) stays undecided at every budget
+        with pytest.raises(ValueError):
+            SpanBasis.from_strings(["1", "opaque:pi", "opaque:pi"])
+        with pytest.raises(ValueError):
+            SpanBasis.from_strings(["1", "sqrt:2", "1"])
 
     def test_reject_empty(self):
         with pytest.raises(ValueError):
@@ -293,6 +303,214 @@ class TestSolveAndWitness:
             surjection_witness(P_MAT, elem(B2, 0, 1), F(0), F(1))
         with pytest.raises(ValueError):  # empty interval
             surjection_witness(Q_MAT, elem(B2, 0, 1), F(1), F(1))
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan elimination over Fractions, as `_rref` once did it."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = m[row][col]
+        m[row] = [v / inv for v in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
+
+
+def rref_cases():
+    """Square, augmented, rank-deficient, zero and single-column matrices,
+    some needing a row swap at the first pivot."""
+    rng = random.Random(108)
+    cases = [
+        [[F(0), F(0)], [F(0), F(0)]],
+        [[F(0)], [F(0)], [F(0)]],
+        [[F(0)], [F(3, 4)], [F(-2)]],
+        [[F(5, 3)]],
+        [[F(0), F(1), F(2)], [F(3), F(4), F(5)], [F(6), F(7), F(8)]],
+        [[F(0), F(0), F(1)], [F(0), F(2), F(0)], [F(3), F(0), F(0)]],
+        [[F(1), F(2), F(3), F(4)], [F(2), F(4), F(6), F(9)], [F(0), F(0), F(0), F(0)]],
+    ]
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        f = rand_map(rng, SpanBasis.from_strings(["1", "sqrt:2", "sqrt:3", "sqrt:5"][:n]),
+                     singular=n > 1 and rng.random() < 0.5)
+        rows = [list(r) for r in f.rows]
+        if rng.random() < 0.3:
+            rows.insert(0, rows.pop())  # move a row, so zero leading entries come first
+        if rng.random() < 0.5:
+            y = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            rows = [r + [v] for r, v in zip(rows, y)]
+        cases.append(rows)
+        cases.append([[r[0]] for r in rows])
+    return cases
+
+
+class TestRrefOracle:
+    def test_against_fraction_elimination(self):
+        for rows in rref_cases():
+            reduced, pivots = _rref(rows)
+            want, want_pivots = fraction_rref(rows)
+            assert pivots == want_pivots
+            assert reduced == want
+            assert all(type(v) is F for r in reduced for v in r)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for rows in rref_cases():
+            matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+            want, want_pivots = matrix.rref()
+            reduced, pivots = _rref(rows)
+            assert tuple(pivots) == want_pivots
+            assert reduced == [
+                [F(int(e.p), int(e.q)) for e in want.row(i)] for i in range(want.rows)
+            ]
+
+
+def fraction_enclosure(x, bits):
+    lo = hi = F(0)
+    for q, sym in zip(x.coords, x.basis.symbols):
+        if q == 0:
+            continue
+        slo, shi = sym.enclosure(bits)
+        if q > 0:
+            lo += q * slo
+            hi += q * shi
+        else:
+            lo += q * shi
+            hi += q * slo
+    return lo, hi
+
+
+class TestEnclosureOracle:
+    def test_against_fraction_sum(self):
+        rng = random.Random(109)
+        bases = [
+            B123,
+            SpanBasis.from_strings(["sqrt:5", "1", "opaque:pi"]),
+            SpanBasis.from_strings(["opaque:e", "opaque:pi", "1", "sqrt:7"]),
+        ]
+        for basis in bases:
+            for bits in (32, 33, 47, 64, 100, 128, 255, 512):
+                for _ in range(25):
+                    x = SpanElement(basis, tuple(
+                        F(0) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 40))
+                        for _ in range(basis.dim)
+                    ))
+                    lo, hi = enclosure_value(x, bits)
+                    assert (lo, hi) == fraction_enclosure(x, bits)
+                    assert type(lo) is F and type(hi) is F
+            zero = SpanElement(basis, (F(0),) * basis.dim)
+            assert enclosure_value(zero, 32) == (F(0), F(0))
+
+
+def every_candidate_witness(f, y, l, r, budget=128):
+    """The witness search with no prefilter: every grid candidate goes
+    through both exact sign tests."""
+    l, r = F(l), F(r)
+    if l >= r:
+        raise ValueError("empty interval")
+    x0 = solve_image(f, y)
+    if x0 is None:
+        raise ValueError("target is not in the image")
+    kernel = kernel_basis(f)
+    if not kernel:
+        raise ValueError("map is injective: no kernel to steer with")
+    steer = None
+    for k in kernel:
+        s = real_sign(k, budget)
+        if s is None:
+            raise UndecidedComparisonError("kernel sign undecided within budget")
+        if s != 0:
+            steer = k
+            break
+    if steer is None:
+        raise ValueError("kernel has no element of nonzero real value")
+    mid = (l + r) / 2
+    depth = 0
+    while depth <= 4 * budget:
+        bits = 32 + depth
+        v0_lo, v0_hi = fraction_enclosure(x0, bits)
+        vk_lo, vk_hi = fraction_enclosure(steer, bits)
+        mid_vk = (vk_lo + vk_hi) / 2
+        if mid_vk != 0:
+            est = (mid - (v0_lo + v0_hi) / 2) / mid_vk
+            scale = 1 << depth
+            base_m = (est.numerator * scale) // est.denominator
+            for m in range(base_m - 2, base_m + 4):
+                x = x0 + steer.scale(F(m, scale))
+                s_lo = real_sign_offset(x, l, budget)
+                if s_lo is None:
+                    raise UndecidedComparisonError("interval check undecided")
+                if s_lo <= 0:
+                    continue
+                s_hi = real_sign_offset(x, r, budget)
+                if s_hi is None:
+                    raise UndecidedComparisonError("interval check undecided")
+                if s_hi < 0:
+                    return x
+        depth += 1
+    raise UndecidedComparisonError("no admissible coefficient within budget")
+
+
+def witness_outcome(search, *args):
+    try:
+        return search(*args).coords
+    except (ValueError, UndecidedComparisonError) as exc:
+        return type(exc)
+
+
+class TestWitnessOracle:
+    OPAQUE = SpanBasis.from_strings(["1", "opaque:pi", "opaque:e"])
+
+    def check(self, f, y, l, r):
+        got = witness_outcome(surjection_witness, f, y, l, r)
+        assert got == witness_outcome(every_candidate_witness, f, y, l, r)
+        return got
+
+    def test_random_maps(self):
+        rng = random.Random(110)
+        for basis, count in ((B123, 500), (self.OPAQUE, 100)):
+            found = 0
+            for _ in range(count):
+                f = rand_map(rng, basis, singular=rng.random() < 0.9)
+                y = apply_map(f, rand_elem(rng, basis))
+                l = F(rng.randint(-40, 40), rng.randint(1, 6))
+                r = l + F(rng.randint(1, 30), rng.randint(1, 6))
+                found += not isinstance(self.check(f, y, l, r), type)
+            assert found > count // 2
+
+    def test_tight_endpoints(self):
+        # an endpoint within 2**-200 of a grid candidate's value: only the
+        # exact bounds of the prefilter keep that candidate
+        rng = random.Random(111)
+        for basis in (B123, self.OPAQUE):
+            for _ in range(60):
+                f = rand_map(rng, basis, singular=True)
+                kernel = kernel_basis(f)
+                steer = next((k for k in kernel if real_sign(k) != 0), None)
+                if steer is None:
+                    continue
+                y = apply_map(f, rand_elem(rng, basis))
+                x0 = solve_image(f, y)
+                c = F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 2, 4)))
+                lo, hi = enclosure_value(x0 + steer.scale(c), 200)
+                vk_lo, vk_hi = enclosure_value(steer, 64)
+                width = min(abs(vk_lo), abs(vk_hi)) * F(rng.randint(1, 7), 8)
+                self.check(f, y, hi - width, hi)
+                self.check(f, y, lo, lo + width)
 
 
 class TestGraphIdentities:
