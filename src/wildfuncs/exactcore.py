@@ -62,24 +62,22 @@ def _check_base(base: int) -> None:
 # ---------------------------------------------------------------------------
 # digit rendering helpers (bytes hold one digit value per byte, MSB first)
 
+# Base 3 is divided ten digits per divmod, and each quotient is rendered as
+# two five-digit groups from one 243-entry table.
 _CHUNK = 10
 _CHUNK_POW = 3**_CHUNK
-_CHUNK_TABLE: list[bytes] = []
+_GROUP_TABLE: list[bytes] = []
 
 
-def _chunk_table() -> list[bytes]:
-    # 3**10 entries of ten digit bytes each, composed from a 3**5 half table
-    if not _CHUNK_TABLE:
-        half = []
+def _group_table() -> list[bytes]:
+    # 3**5 entries of five digit bytes each
+    if not _GROUP_TABLE:
         for v in range(243):
             out = bytearray(5)
             for i in range(4, -1, -1):
                 v, out[i] = divmod(v, 3)
-            half.append(bytes(out))
-        _CHUNK_TABLE.extend(
-            half[v // 243] + half[v % 243] for v in range(_CHUNK_POW)
-        )
-    return _CHUNK_TABLE
+            _GROUP_TABLE.append(bytes(out))
+    return _GROUP_TABLE
 
 
 # Base-3 integers of more than _SPLIT_DIGITS digits are split in halves:
@@ -90,11 +88,12 @@ _SPLIT_MIN = 3**_SPLIT_DIGITS
 
 def _ternary_chunks(n: int) -> bytes:
     """Base-3 digits of n >= 0, zero-padded to a multiple of ten."""
-    table = _chunk_table()
+    table = _group_table()
     parts = []
     while n:
         n, rem = divmod(n, _CHUNK_POW)
-        parts.append(table[rem])
+        hi, lo = divmod(rem, 243)
+        parts += table[lo], table[hi]
     return b"".join(reversed(parts))
 
 
@@ -239,23 +238,25 @@ def _divide(r: int, m: int, base: int, count: int) -> tuple[bytes, int]:
 
     Base 2 divides once, shifted by `count` bits.  Base 3 runs long enough
     for a small m go through `_divide_lanes`; the rest take ten digits per
-    divmod and append them from the chunk table as they go (a list of parts
-    joined at the end would hold an 80-byte buffer per part).
+    divmod and append them as two groups from the group table as they go.
     """
     if base == 2:
         q, r = divmod(r << count, m)
         return _int_to_digits(q, 2, count), r
     if count >= _LANE_MIN_COUNT and m.bit_length() <= _LANE_MAX_BITS:
         return _divide_lanes(r, m, count), r * pow(3, count, m) % m
-    table = _chunk_table()
+    table = _group_table()
     full, rest = divmod(count, _CHUNK)
     digits = bytearray()
     for _ in range(full):
         q, r = divmod(r * _CHUNK_POW, m)
-        digits += table[q]
+        hi, lo = divmod(q, 243)
+        digits += table[hi]
+        digits += table[lo]
     if rest:
         q, r = divmod(r * 3**rest, m)
-        digits += table[q][-rest:]
+        hi, lo = divmod(q, 243)
+        digits += (table[hi] + table[lo])[-rest:]
     return bytes(digits), r
 
 

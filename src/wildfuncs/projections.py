@@ -14,6 +14,7 @@ from .qspan import Direction, ShiftClass, ShiftKind, shift_class  # noqa: F401 (
 from .surds import (
     LESS,
     QuadraticSurd,
+    _int_sign,
     surd_compare,
     surd_floor,
     surd_sign,
@@ -47,11 +48,15 @@ def simplest_dyadic_between(lo: QuadraticSurd, hi: QuadraticSurd) -> Fraction:
     between two exact values, doubling the grid until one fits."""
     if surd_compare(lo, hi) != LESS:
         raise ValueError("empty interval")
+    # hi = (a + b*sqrt(2))/d, so m/2**k < hi iff a*2**k - m*d + b*2**k*sqrt(2) > 0
+    a = hi.a.numerator * hi.b.denominator
+    b = hi.b.numerator * hi.a.denominator
+    d = hi.a.denominator * hi.b.denominator
     k = 0
     while True:
         scale = 1 << k
         m = surd_floor(QuadraticSurd(lo.a * scale, lo.b * scale)) + 1
-        if surd_compare(QuadraticSurd(Fraction(m, scale), 0), hi) == LESS:
+        if _int_sign(a * scale - m * d, b * scale) > 0:
             return Fraction(m, scale)
         k += 1
 

@@ -238,7 +238,9 @@ class SpanElement:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(q) for q in self.coords))
+        coords = self.coords
+        if type(coords) is not tuple or any(type(q) is not Fraction for q in coords):
+            object.__setattr__(self, "coords", tuple(Fraction(q) for q in coords))
         if len(self.coords) != self.basis.dim:
             raise ValueError("coordinate count does not match basis size")
 
@@ -407,12 +409,13 @@ def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for q, sym in zip(x.coords, x.basis.symbols):
-        if not q:
+        qn = q.numerator
+        if not qn:
             continue
         slo, shi = sym.enclosure(bits)
-        if q < 0:
+        if qn < 0:
             slo, shi = shi, slo
-        qn, qd = q.numerator, q.denominator
+        qd = q.denominator
         d = qd * slo.denominator
         lo_n = lo_n * d + qn * slo.numerator * lo_d
         lo_d *= d
@@ -511,27 +514,29 @@ def surjection_witness(
             break
     if steer is None:
         raise ValueError("kernel has no element of nonzero real value")
-    mid = (l + r) / 2
     depth = 0
     while depth <= 4 * precision_budget:
         bits = 32 + depth
         v0_lo, v0_hi = enclosure_value(x0, bits)
         vk_lo, vk_hi = enclosure_value(steer, bits)
-        mid_vk = (vk_lo + vk_hi) / 2
-        if mid_vk != 0:
-            est = (mid - (v0_lo + v0_hi) / 2) / mid_vk
-            scale = 1 << depth
-            base_m = (est.numerator * scale) // est.denominator
+        # the six bounds as integer numerators over one positive denominator
+        bounds = (v0_lo, v0_hi, vk_lo, vk_hi, l, r)
+        den = lcm(*(q.denominator for q in bounds))
+        a_lo, a_hi, k_lo, k_hi, ln, rn = (q.numerator * (den // q.denominator) for q in bounds)
+        if k_lo + k_hi:
+            # floor(2**depth * (mid - mid(v0)) / mid(vk))
+            base_m = ((ln + rn - a_lo - a_hi) << depth) // (k_lo + k_hi)
+            below, above = (a_hi - ln) << depth, (a_lo - rn) << depth
             for m in range(base_m - 2, base_m + 4):
-                c = Fraction(m, scale)
-                # value(x0) + c*value(steer) over the enclosures in hand
+                # value(x0) + (m/2**depth)*value(steer) over the enclosures
+                # in hand, times den*2**depth: at or below l, or at or above r
                 if m >= 0:
-                    lo, hi = v0_lo + c * vk_lo, v0_hi + c * vk_hi
+                    outside = below + m * k_hi <= 0 or above + m * k_lo >= 0
                 else:
-                    lo, hi = v0_lo + c * vk_hi, v0_hi + c * vk_lo
-                if hi <= l or lo >= r:
+                    outside = below + m * k_lo <= 0 or above + m * k_hi >= 0
+                if outside:
                     continue
-                x = x0 + steer.scale(c)
+                x = x0 + steer.scale(Fraction(m, 1 << depth))
                 s_lo = real_sign_offset(x, l, precision_budget)
                 if s_lo is None:
                     raise UndecidedComparisonError("interval check undecided")
@@ -565,13 +570,25 @@ def point_symmetry_identity(f: AdditiveMap, x0: SpanElement, x: SpanElement) -> 
 
 
 def load_map(path: str) -> AdditiveMap:
-    """Read an additive map declaration: JSON with a `basis` list of symbol
-    strings and a `matrix` of rational literals (rows)."""
+    """Read an additive map declaration: a JSON object with a `basis` list
+    of symbol strings and a `matrix` list of rows, each a list of rational
+    literals (strings) or integers.  Any other shape raises ValueError, and
+    so do JSON floats and booleans: a float would decide an exact answer."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    basis = SpanBasis.from_strings(data["basis"])
-    rows = tuple(tuple(Fraction(v) for v in row) for row in data["matrix"])
-    return AdditiveMap(basis, rows)
+    if not isinstance(data, dict):
+        raise ValueError("map file must hold a JSON object")
+    basis, matrix = data.get("basis"), data.get("matrix")
+    if not (isinstance(basis, list) and all(type(t) is str for t in basis)):
+        raise ValueError("map file needs `basis`: a list of symbol strings")
+    if not (isinstance(matrix, list) and all(
+        isinstance(row, list) and all(type(v) in (str, int) for v in row) for row in matrix
+    )):
+        raise ValueError(
+            "map file needs `matrix`: a list of rows of rational strings or integers"
+        )
+    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    return AdditiveMap(SpanBasis.from_strings(basis), rows)
 
 
 def parse_coords(text: str, basis: SpanBasis) -> SpanElement:

@@ -30,8 +30,10 @@ class QuadraticSurd:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @property
     def is_zero(self) -> bool:
@@ -59,21 +61,36 @@ class QuadraticSurd:
         return format_surd(self)
 
 
-def surd_sign(u: QuadraticSurd) -> int:
-    """Exact sign of a + b*sqrt(2) via comparison of a*a against 2*b*b."""
-    sa = (u.a > 0) - (u.a < 0)
-    sb = (u.b > 0) - (u.b < 0)
+def _int_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt(2) for integers a, b, via comparison of a*a
+    against 2*b*b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
     if sb == 0:
         return sa
     if sa == 0 or sa == sb:
         return sb
     # opposite signs: the side with the larger square wins
-    return sa if u.a * u.a > 2 * u.b * u.b else sb
+    return sa if a * a > 2 * b * b else sb
+
+
+def surd_sign(u: QuadraticSurd) -> int:
+    """Exact sign of a + b*sqrt(2), on numerators over a common positive
+    denominator."""
+    a, b = u.a, u.b
+    return _int_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
 
 def surd_compare(u: QuadraticSurd, v: QuadraticSurd) -> int:
-    """Three-way exact comparison: -1 (Less), 0 (Equal), +1 (Greater)."""
-    return surd_sign(u - v)
+    """Three-way exact comparison: -1 (Less), 0 (Equal), +1 (Greater).
+
+    The sign of u - v, with the rational and the radical part of the
+    difference cross-multiplied to integers over one positive denominator.
+    """
+    da, db = u.a.denominator * v.a.denominator, u.b.denominator * v.b.denominator
+    a = u.a.numerator * v.a.denominator - v.a.numerator * u.a.denominator
+    b = u.b.numerator * v.b.denominator - v.b.numerator * u.b.denominator
+    return _int_sign(a * db, b * da)
 
 
 def surd_arith(u: QuadraticSurd, v: QuadraticSurd, op: str) -> QuadraticSurd:

@@ -6,10 +6,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from wildfuncs import cantor, ternary
 from wildfuncs.cli import main
 from wildfuncs.exactcore import parse_rational
 from wildfuncs.surds import parse_surd
+
+from test_qspan import BAD_MAP_FILES
 
 
 def run(capsys, *argv):
@@ -63,6 +67,13 @@ class TestEval:
         assert code == 2 and out == "" and "pairwise distinct" in err
         code, _, err = run(capsys, "classify", "--fn", f"map:{path}", "--shift", "0,1,-1")
         assert code == 2 and "pairwise distinct" in err
+
+    @pytest.mark.parametrize("name", BAD_MAP_FILES)
+    def test_map_file_bad_shape_exit_two(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_MAP_FILES[name]))
+        code, out, err = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_show_digits_expands_once(self, capsys, monkeypatch):
         calls = []

@@ -278,6 +278,36 @@ class TestDivideLanes:
         assert peak <= 2.5 * count, f"{peak / count:.2f} bytes per digit"
 
 
+class TestDivideLoop:
+    # runs the lanes do not take: ten digits per divmod, rendered as two
+    # five-digit groups
+    def test_every_short_count(self):
+        # each count 1..2999 against a prefix of one 2999-digit oracle run,
+        # the remainder after `count` digits being r * 3**count mod m
+        rng = random.Random(31)
+        low = exactcore._LANE_MIN_COUNT
+        cases = [(2, 1), (2**33 - 9, rng.randrange(2**33 - 9)), (2**64 - 59, 2**64 - 60)]
+        for m in (3**10 + 1, rng.randrange(2**40, 2**64)):
+            cases += [(m, 1), (m, m - 1), (m, rng.randrange(m))]
+        for i, (m, r) in enumerate(cases):
+            want, _ = _divide_by_digit(r, m, low - 1)
+            counts = range(1, low) if i < 3 else rng.sample(range(1, low), 300)
+            for count in counts:
+                got = exactcore._divide(r, m, 3, count)
+                assert got == (want[:count], r * pow(3, count, m) % m), (m, r, count)
+
+    def test_wide_moduli(self):
+        # counts at and past the lane cutoff, with m too wide for the lanes
+        rng = random.Random(32)
+        low = exactcore._LANE_MIN_COUNT
+        for bits in (65, 66, 80, 128, 129, 200):
+            for m in (2 ** (bits - 1) + 1, 2**bits - 1, rng.randrange(2 ** (bits - 1), 2**bits)):
+                for r in (1, m - 1, rng.randrange(m)):
+                    for count in (low, low + 1, low + 4, low + 9, 4567, 10001):
+                        got = exactcore._divide(r, m, 3, count)
+                        assert got == _divide_by_digit(r, m, count), (bits, m, r, count)
+
+
 def _ternary_loop(n):
     # one base-3 digit per divmod
     digits = bytearray()
@@ -301,6 +331,15 @@ class TestIntToDigits:
                 assert exactcore._int_from_digits(d, 3) == n
                 assert exactcore._int_to_digits(n, 3, w + 5) == bytes(5) + d
         assert exactcore._int_to_digits(0, 3) == b""
+
+    def test_around_powers_of_three(self):
+        # every digit count up to past the second halving, each power of 3
+        # with its neighbours
+        t = exactcore._SPLIT_DIGITS
+        for k in range(2 * t + 12):
+            for n in (3**k - 1, 3**k, 3**k + 1, 2 * 3**k, 2 * 3**k + 1):
+                if n:
+                    assert exactcore._int_to_digits(n, 3) == _ternary_loop(n), k
 
     def test_long_integer_in_subquadratic_time(self):
         # 10**5 digits: the one-divmod-per-chunk loop takes about 0.22 s on a

@@ -13,7 +13,9 @@ from wildfuncs.projections import (
     rational_component,
     simplest_dyadic_between,
 )
-from wildfuncs.surds import LESS, QuadraticSurd, surd_compare
+from wildfuncs.surds import LESS, QuadraticSurd, surd_compare, surd_floor
+
+from test_surds import fraction_compare
 
 
 def rand_surd(rng, bound=100, den=30):
@@ -145,3 +147,62 @@ class TestDensityWitness:
             assert surd_compare(w, QuadraticSurd(x_hi, 0)) == LESS
             assert surd_compare(QuadraticSurd(y_lo, 0), value) == LESS
             assert surd_compare(value, QuadraticSurd(y_hi, 0)) == LESS
+
+
+def fraction_dyadic(lo, hi):
+    """simplest_dyadic_between as it was, with Fraction surds throughout."""
+    if fraction_compare(lo, hi) != LESS:
+        raise ValueError("empty interval")
+    k = 0
+    while True:
+        scale = 1 << k
+        m = surd_floor(QuadraticSurd(lo.a * scale, lo.b * scale)) + 1
+        if fraction_compare(QuadraticSurd(F(m, scale), 0), hi) == LESS:
+            return F(m, scale)
+        k += 1
+
+
+def fraction_density_witness(fn, x_lo, x_hi, y_lo, y_hi):
+    """density_witness as it was, on fraction_dyadic and fraction_compare."""
+    if fn == "p":
+        a = fraction_dyadic(QuadraticSurd(y_lo, 0), QuadraticSurd(y_hi, 0))
+        b = fraction_dyadic(QuadraticSurd(0, (x_lo - a) / 2), QuadraticSurd(0, (x_hi - a) / 2))
+    else:
+        b = fraction_dyadic(QuadraticSurd(0, y_lo / 2), QuadraticSurd(0, y_hi / 2))
+        a = fraction_dyadic(QuadraticSurd(x_lo, -b), QuadraticSurd(x_hi, -b))
+    w = QuadraticSurd(a, b)
+    value = PROJECTIONS[fn](w)
+    assert fraction_compare(QuadraticSurd(x_lo, 0), w) == LESS
+    assert fraction_compare(w, QuadraticSurd(x_hi, 0)) == LESS
+    assert fraction_compare(QuadraticSurd(y_lo, 0), value) == LESS
+    assert fraction_compare(value, QuadraticSurd(y_hi, 0)) == LESS
+    return w
+
+
+def rand_window(rng):
+    # a random start, and a width from 10 down to 1/10**11
+    lo = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    return lo, lo + F(rng.randint(1, 100), 10 ** rng.randint(1, 11))
+
+
+class TestDyadicOracle:
+    def test_simplest_dyadic_between(self):
+        rng = random.Random(44)
+        for _ in range(1000):
+            # parts of either sign, so the two can nearly cancel
+            lo = rand_surd(rng, 10**6, 10**4)
+            hi = lo + QuadraticSurd(*(F(rng.randint(-100, 100), 10 ** rng.randint(1, 11)) for _ in "ab"))
+            if fraction_compare(lo, hi) != LESS:
+                lo, hi = hi, lo
+            if fraction_compare(lo, hi) != LESS:
+                continue
+            assert simplest_dyadic_between(lo, hi) == fraction_dyadic(lo, hi), (lo, hi)
+
+    def test_density_witness(self):
+        rng = random.Random(45)
+        for i in range(2000):
+            (x_lo, x_hi), (y_lo, y_hi) = rand_window(rng), rand_window(rng)
+            fn = "pq"[i % 2]
+            w = density_witness(fn, x_lo, x_hi, y_lo, y_hi)
+            assert w == fraction_density_witness(fn, x_lo, x_hi, y_lo, y_hi)
+            assert type(w.a) is F and type(w.b) is F

@@ -1,9 +1,11 @@
+import contextlib
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from wildfuncs import qspan
 from wildfuncs.projections import Direction, ShiftKind
 from wildfuncs.qspan import (
     AdditiveMap,
@@ -416,9 +418,11 @@ class TestEnclosureOracle:
             assert enclosure_value(zero, 32) == (F(0), F(0))
 
 
-def every_candidate_witness(f, y, l, r, budget=128):
+def every_candidate_witness(f, y, l, r, budget=128, prefilter=False):
     """The witness search with no prefilter: every grid candidate goes
-    through both exact sign tests."""
+    through both exact sign tests.  With `prefilter`, the search as it was
+    with Fraction bounds: candidates the enclosures place at or below l, or
+    at or above r, are skipped."""
     l, r = F(l), F(r)
     if l >= r:
         raise ValueError("empty interval")
@@ -450,13 +454,22 @@ def every_candidate_witness(f, y, l, r, budget=128):
             scale = 1 << depth
             base_m = (est.numerator * scale) // est.denominator
             for m in range(base_m - 2, base_m + 4):
-                x = x0 + steer.scale(F(m, scale))
-                s_lo = real_sign_offset(x, l, budget)
+                c = F(m, scale)
+                if prefilter:
+                    if m >= 0:
+                        lo, hi = v0_lo + c * vk_lo, v0_hi + c * vk_hi
+                    else:
+                        lo, hi = v0_lo + c * vk_hi, v0_hi + c * vk_lo
+                    if hi <= l or lo >= r:
+                        continue
+                x = x0 + steer.scale(c)
+                # through the module, so that recorded_sign_tests sees it
+                s_lo = qspan.real_sign_offset(x, l, budget)
                 if s_lo is None:
                     raise UndecidedComparisonError("interval check undecided")
                 if s_lo <= 0:
                     continue
-                s_hi = real_sign_offset(x, r, budget)
+                s_hi = qspan.real_sign_offset(x, r, budget)
                 if s_hi is None:
                     raise UndecidedComparisonError("interval check undecided")
                 if s_hi < 0:
@@ -465,18 +478,42 @@ def every_candidate_witness(f, y, l, r, budget=128):
     raise UndecidedComparisonError("no admissible coefficient within budget")
 
 
-def witness_outcome(search, *args):
+def witness_outcome(search, *args, **kwargs):
     try:
-        return search(*args).coords
+        return search(*args, **kwargs).coords
     except (ValueError, UndecidedComparisonError) as exc:
         return type(exc)
+
+
+@contextlib.contextmanager
+def recorded_sign_tests():
+    """Record (coords, offset) of each exact sign test made through the
+    module's real_sign_offset, the steer's sign tests included."""
+    calls = []
+    real = qspan.real_sign_offset
+
+    def record(x, offset, precision_budget=qspan.DEFAULT_PRECISION):
+        calls.append((x.coords, F(offset)))
+        return real(x, offset, precision_budget)
+
+    qspan.real_sign_offset = record
+    try:
+        yield calls
+    finally:
+        qspan.real_sign_offset = real
 
 
 class TestWitnessOracle:
     OPAQUE = SpanBasis.from_strings(["1", "opaque:pi", "opaque:e"])
 
     def check(self, f, y, l, r):
-        got = witness_outcome(surjection_witness, f, y, l, r)
+        # the same witness as testing every candidate, and the same exact
+        # sign tests, in the same order, as the Fraction prefilter ran
+        with recorded_sign_tests() as tests:
+            got = witness_outcome(surjection_witness, f, y, l, r)
+        with recorded_sign_tests() as want_tests:
+            want = witness_outcome(every_candidate_witness, f, y, l, r, prefilter=True)
+        assert got == want and tests == want_tests
         assert got == witness_outcome(every_candidate_witness, f, y, l, r)
         return got
 
@@ -512,6 +549,43 @@ class TestWitnessOracle:
                 self.check(f, y, hi - width, hi)
                 self.check(f, y, lo, lo + width)
 
+    def test_negative_steer(self):
+        # vk_lo + vk_hi < 0: the skip bounds swap ends, and base_m is the
+        # floor of a quotient by a negative number
+        rng = random.Random(112)
+        for basis in (B123, self.OPAQUE):
+            seen = found = 0
+            while seen < 80:
+                f = rand_map(rng, basis, singular=True)
+                signs = [real_sign(k) for k in kernel_basis(f)]
+                if None in signs or next((s for s in signs if s), 0) >= 0:
+                    continue
+                seen += 1
+                y = apply_map(f, rand_elem(rng, basis))
+                l = F(rng.randint(-40, 40), rng.randint(1, 6))
+                r = l + F(rng.randint(1, 30), rng.randint(1, 6)) / rng.choice((1, 10**3, 10**6))
+                found += not isinstance(self.check(f, y, l, r), type)
+            assert found > 40
+
+    def test_large_denominators(self):
+        rng = random.Random(113)
+
+        def big():
+            return F(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+
+        for basis in (B123, self.OPAQUE):
+            found = 0
+            for _ in range(80):
+                f = rand_map(rng, basis, singular=True)
+                # each row scaled by one factor: the kernel stays
+                scales = [big() or F(1) for _ in f.rows]
+                f = AdditiveMap(basis, tuple(tuple(v * s for v in row) for row, s in zip(f.rows, scales)))
+                y = apply_map(f, SpanElement(basis, tuple(big() for _ in range(basis.dim))))
+                l = big()
+                r = l + F(rng.randint(1, 10**9), rng.randint(1, 10**15))
+                found += not isinstance(self.check(f, y, l, r), type)
+            assert found > 40
+
 
 class TestGraphIdentities:
     def test_translation_randomized(self):
@@ -527,6 +601,19 @@ class TestGraphIdentities:
             assert point_symmetry_identity(f, rand_elem(rng), rand_elem(rng))
 
 
+# map files of the wrong shape, or with JSON floats or booleans for entries
+BAD_MAP_FILES = {
+    "no-basis": {"matrix": [["1", "0"], ["0", "0"]]},
+    "no-matrix": {"basis": ["1", "sqrt:2"]},
+    "matrix-number": {"basis": ["1", "sqrt:2"], "matrix": 5},
+    "top-level-list": [["1", "sqrt:2"], [["1", "0"], ["0", "0"]]],
+    "float-entry": {"basis": ["1", "sqrt:2"], "matrix": [[0.1, 0], [0, 0]]},
+    "bool-entry": {"basis": ["1", "sqrt:2"], "matrix": [[True, 0], [0, 0]]},
+    "row-not-list": {"basis": ["1", "sqrt:2"], "matrix": ["10", "00"]},
+    "basis-number": {"basis": [1, "sqrt:2"], "matrix": [["1", "0"], ["0", "0"]]},
+}
+
+
 class TestDeclarationFiles:
     def test_load_map(self, tmp_path):
         path = tmp_path / "map.json"
@@ -539,3 +626,15 @@ class TestDeclarationFiles:
         assert f == P_MAT
         x = parse_coords("3,2", f.basis)
         assert apply_map(f, x) == elem(B2, 3, 0)
+
+    def test_load_map_integer_entries(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"basis": ["1", "sqrt:2"], "matrix": [[1, "0"], [0, 0]]}))
+        assert load_map(str(path)) == P_MAT
+
+    @pytest.mark.parametrize("data", BAD_MAP_FILES.values(), ids=list(BAD_MAP_FILES))
+    def test_load_map_rejects_shape(self, tmp_path, data):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            load_map(str(path))

@@ -8,6 +8,7 @@ from wildfuncs.surds import (
     GREATER,
     LESS,
     QuadraticSurd,
+    _int_sign,
     format_surd,
     parse_surd,
     sqrt2_enclosure,
@@ -59,6 +60,106 @@ class TestCompare:
             approx = float(u.a) + float(u.b) * root
             if abs(approx) > 1e-6:
                 assert surd_sign(u) == (1 if approx > 0 else -1)
+
+
+def fraction_sign(a, b):
+    """Sign of a + b*sqrt(2) by the a*a against 2*b*b rule on Fraction
+    parts, as surd_sign decided it before it moved to integers."""
+    a, b = F(a), F(b)
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > 2 * b * b else sb
+
+
+def fraction_compare(u, v):
+    """surd_compare as it was: the sign of the Fraction difference."""
+    return fraction_sign(u.a - v.a, u.b - v.b)
+
+
+def convergents(max_digits):
+    # a/b -> sqrt(2) with a*a - 2*b*b = -1, +1, -1, ...: a - b*sqrt(2) is
+    # within 1/(2*b) of zero and alternates in sign
+    a, b = 1, 1
+    while len(str(a)) <= max_digits:
+        yield a, b
+        a, b = a + 2 * b, a + b
+
+
+def sign_pairs(rng, count, digits=50):
+    """Integer pairs: zeros, tight convergents with both signs, and random
+    values of up to `digits` digits."""
+    pairs = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    for a, b in convergents(digits):
+        pairs += [(a, -b), (-a, b), (a, b), (-a, -b)]
+    for _ in range(count):
+        size = 10 ** rng.randint(0, digits)
+        a, b = rng.randint(-size, size), rng.randint(-size, size)
+        pairs += [(a, b), (0, b), (a, 0)]
+    return pairs
+
+
+def rand_big_surd(rng, digits=50):
+    size = 10 ** rng.randint(0, digits)
+    parts = [F(rng.randint(-size, size), rng.randint(1, size)) for _ in range(2)]
+    for i in range(2):
+        if rng.random() < 0.2:
+            parts[i] = F(0)
+    return QuadraticSurd(*parts)
+
+
+class TestIntegerSignOracle:
+    def test_int_sign(self):
+        rng = random.Random(14)
+        for a, b in sign_pairs(rng, 400):
+            assert _int_sign(a, b) == fraction_sign(a, b), (a, b)
+
+    def test_surd_sign(self):
+        rng = random.Random(15)
+        for a, b in sign_pairs(rng, 200):
+            # scaled by k/d > 0, so tight pairs stay tight; reduced, the two
+            # parts no longer share a denominator
+            k, d = rng.randint(1, 10**30), rng.randint(1, 10**30)
+            u = QuadraticSurd(F(a * k, d), F(b * k, d))
+            assert surd_sign(u) == fraction_sign(u.a, u.b) == _int_sign(a, b), (a, b)
+        for _ in range(500):
+            u = rand_big_surd(rng)
+            assert surd_sign(u) == fraction_sign(u.a, u.b), u
+
+    def test_surd_compare(self):
+        rng = random.Random(16)
+        for _ in range(500):
+            u, v = rand_big_surd(rng), rand_big_surd(rng)
+            assert surd_compare(u, v) == fraction_compare(u, v), (u, v)
+            assert surd_compare(u, u) == EQUAL
+            assert surd_compare(u, QuadraticSurd(F(u.a), F(u.b))) == EQUAL
+            # equal rational or radical parts, and differences next to zero
+            assert surd_compare(u, QuadraticSurd(u.a, v.b)) == fraction_compare(u, QuadraticSurd(u.a, v.b))
+            assert surd_compare(u, QuadraticSurd(v.a, u.b)) == fraction_compare(u, QuadraticSurd(v.a, u.b))
+        for a, b in convergents(50):
+            d = F(rng.randint(1, 10**20), rng.randint(1, 10**20))
+            u = rand_big_surd(rng)
+            for tight in (QuadraticSurd(u.a + a * d, u.b - b * d), QuadraticSurd(u.a - a * d, u.b + b * d)):
+                assert surd_compare(u, tight) == fraction_compare(u, tight), (u, tight)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        root = sympy.sqrt(2)
+
+        def sym(u):
+            return sympy.Rational(u.a.numerator, u.a.denominator) + sympy.Rational(
+                u.b.numerator, u.b.denominator) * root
+
+        rng = random.Random(17)
+        for a, b in sign_pairs(rng, 60):
+            assert _int_sign(a, b) == sympy.sign(a + b * root), (a, b)
+        for _ in range(150):
+            u, v = rand_big_surd(rng), rand_big_surd(rng)
+            assert surd_sign(u) == sympy.sign(sym(u))
+            assert surd_compare(u, v) == sympy.sign(sym(u) - sym(v))
 
 
 class TestArith:
