@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import count
 from math import gcd, lcm
 
 from .exactcore import _int_from_digits, fraction_value, to_expansion
@@ -104,12 +105,6 @@ def _gap_of(n: int, m: int, depth: int) -> tuple[int, int]:
     raise RuntimeError("a new hull lies in no gap of the hull around it")
 
 
-# Hull denominators keep gaining factors of 2 and 3 (a hull is 1/4 of the
-# way into a gap at some cover depth), so den takes more of both than it
-# needs whenever it grows, and rescales rarely.
-_HEADROOM = 2**32 * 3**16
-
-
 class _Placement:
     """Memoized enumeration and placements, and the hulls as a forest.
 
@@ -121,7 +116,8 @@ class _Placement:
     (level, position) of the parent's gap that holds it.
 
     Coordinates are integers over one denominator, den, that every basis
-    interval and hull met so far divides; it grows, rarely, by rescaling.
+    interval and hull met so far divides, the least such; a new denominator
+    rescales every coordinate.
     For each hull with children it also keeps, over the hull and all hulls
     inside it, their widths summed by reach (the deepest gap level on the
     path down from the hull, so the least cover depth at which they are
@@ -146,10 +142,9 @@ class _Placement:
         self.deepest = 0  # the deepest cover depth in widest
 
     def widen(self, *dens: int) -> None:
-        """Make den a multiple of dens."""
+        """Make den the least common multiple of den and dens."""
         scale = lcm(self.den, *dens) // self.den
         if scale > 1:
-            scale *= _HEADROOM
             self.den *= scale
             # in place, so that the old and the new values are not all held
             # at once; the levels share their ints with spans
@@ -318,17 +313,11 @@ class _Walk:
         if not k or j0 == j1:
             return
         # the middle gap of a hull [x, x + w] is (w, -(3x + w)) over den * 3;
-        # it bounds the hull's free intervals, and is the widest of them when
-        # the hull is within (lo, hi) and holds no hull
+        # it bounds the hull's free intervals
         tip = s // 3
         order = sorted(
             ((ends[j] - starts[j], -2 * starts[j] - ends[j], j) for j in range(j0, j1)), reverse=True
         )
-        for w, _, j in order:
-            x = starts[j] * s
-            if lo <= x and ends[j] * s <= hi and not st.children[ids[j]].ids:
-                self.offer(x + w * tip, x + 2 * w * tip)
-                break
         for w, neg3, j in order:
             if (w * tip, neg3 * tip) <= self.best:
                 break
@@ -356,14 +345,6 @@ class _Walk:
         third = span // 3
         if m == 0 or x + span <= self.lo or x >= self.hi or (third, -x) <= self.best:
             return
-        # within (lo, hi), and with no hull in its gaps, the middle gap is widest
-        if (
-            self.lo <= x
-            and x + span <= self.hi
-            and not any(g > level and gp >> (g - 1 - level) == position for g, gp in held)
-        ):
-            self.offer(x + third, x + 2 * third)
-            return
         slot = held.get((level + 1, position))
         if slot:
             self.region(children, *slot, x + third, x + 2 * third)
@@ -384,7 +365,8 @@ def _place(i: int) -> dict:
     lies inside a segment of a visible cover.  Visible covers are disjoint,
     so the covered length is (2/3)**k times the summed width of the visible
     hulls within (a, b), plus the clipped covers of the few visible hulls
-    that hold a or b.
+    that hold a or b.  One walk down from the roots that meet (a, b) sums
+    the first by reach and collects the second.
     """
     st = _state
     if i != len(st.records):
@@ -393,29 +375,23 @@ def _place(i: int) -> dict:
     st.widen(a.denominator, b.denominator)
     den = st.den
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    # the visible width within (a, b), by the least depth that shows it:
-    # the roots within (a, b) are summed at once; below the roots that hold
-    # a or b, their children are sorted the same way, each with its reach
-    near = st.roots.meeting(lo, hi)
-    inner = [p for p in near if lo <= st.spans[p][0] and st.spans[p][1] <= hi]
-    widths = dict(enumerate(map(sum, zip_longest(*map(st.mass, inner), fillvalue=0))))
-    edges, stack = [], [(p, 0) for p in set(near).difference(inner)]
+    # the visible width within (a, b), by the least depth that shows it,
+    # and the hulls that hold a or b, each with its reach
+    widths, edges = defaultdict(int), []
+    stack = [(p, 0) for p in st.roots.meeting(lo, hi)]
     while stack:
         p, v = stack.pop()
         c, d = st.spans[p]
-        edges.append((c, d - c, v))  # a hull holding a or b
-        for ch in st.children[p].meeting(lo, hi):
-            reach = max(v, st.gaps[ch][0])
-            c, d = st.spans[ch]
-            if lo <= c and d <= hi:
-                for r, mass in enumerate(st.mass(ch)):
-                    widths[max(r, reach)] = widths.get(max(r, reach), 0) + mass
-            else:
-                stack.append((ch, reach))
+        if lo <= c and d <= hi:
+            for r, mass in enumerate(st.mass(p)):
+                widths[r if r > v else v] += mass
+        else:
+            edges.append((c, d - c, v))
+            stack.extend((ch, max(v, st.gaps[ch][0])) for ch in st.children[p].meeting(lo, hi))
     depth, inside = 0, 0
     while True:
         s = 3**depth
-        inside += widths.get(depth, 0)
+        inside += widths[depth]
         covered = (inside << depth) + sum(
             _covered_in(c * s, w, depth, lo * s, hi * s) for c, w, v in edges if v <= depth
         )

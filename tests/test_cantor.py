@@ -313,12 +313,14 @@ class TestPlacement:
 
 
 class TestDumpDigests:
-    # sha256 of `cantor --max-index N`, generated before the hull forest
+    # sha256 of `cantor --max-index N`: 300 and 2300 generated before the
+    # hull forest, 4600 by the forest as first written
     @pytest.mark.parametrize(
         "count, digest",
         [
             (300, "7978912f20f03b7293c07d79fb30cd4455a125708715c2621acb121980ff4370"),
             (2300, "9f74882592f5785c71afb3e98bf59ff7121d1b1434c9e0f2bb293cb8cf58e763"),
+            (4600, "540481722321f1d9e94d5a8d6a99481a13c124df063a4d7c27023f30accdecad"),
         ],
     )
     def test_dump(self, capsys, count, digest):

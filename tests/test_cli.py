@@ -8,10 +8,10 @@ import time
 
 import pytest
 
-from wildfuncs import cantor, ternary
+from wildfuncs import cantor, projections, qspan, ternary
 from wildfuncs.cli import main
-from wildfuncs.exactcore import parse_rational
-from wildfuncs.surds import parse_surd
+from wildfuncs.exactcore import format_rational, parse_rational
+from wildfuncs.surds import QuadraticSurd, parse_surd
 
 from test_qspan import BAD_MAP_FILES
 
@@ -67,6 +67,23 @@ class TestEval:
         assert code == 2 and out == "" and "pairwise distinct" in err
         code, _, err = run(capsys, "classify", "--fn", f"map:{path}", "--shift", "0,1,-1")
         assert code == 2 and "pairwise distinct" in err
+
+    @pytest.mark.parametrize("radicand, accepted", [
+        (15, True), (999999999989, True), (18, False), (50, False), (1000000000039, False),
+    ])
+    def test_map_file_radicand(self, capsys, tmp_path, radicand, accepted):
+        # squarefree is checked by trial division, so radicands above
+        # 10**12 are refused before it starts
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"basis": ["1", f"sqrt:{radicand}"], "matrix": [["1", "0"], ["0", "0"]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
+        assert time.perf_counter() - start < 1
+        if accepted:
+            assert code == 0 and out.strip() == "3,0"
+        else:
+            assert code == 2 and out == "" and err.startswith("error: radicand must be")
+            assert ("10**12" in err) == (radicand > 10**12)
 
     @pytest.mark.parametrize("name", BAD_MAP_FILES)
     def test_map_file_bad_shape_exit_two(self, capsys, tmp_path, name):
@@ -142,6 +159,15 @@ class TestPreimage:
         code, _, err = run(capsys, "preimage", "--fn", "h", "--y", "1", "--interval", "1/3,1/3")
         assert code == 2
 
+    def test_malformed_interval_exit_two(self, capsys):
+        for interval in ("1/3", "0,1,2", "0,x"):
+            code, out, err = run(capsys, "preimage", "--fn", "h", "--y", "1", "--interval", interval)
+            assert code == 2 and out == "" and err.startswith("error: "), interval
+
+    def test_unsupported_function_exit_two(self, capsys):
+        code, out, err = run(capsys, "preimage", "--fn", "p", "--y", "1", "--interval", "0,1")
+        assert code == 2 and out == "" and "preimage supports h, hs, cf" in err
+
     def test_runaway_cf_literals(self, capsys):
         # the least basis intervals inside these are indices 2053 and 2227;
         # placing that many sets from cold took 10-12 s before the hull forest
@@ -167,6 +193,29 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--fn", "q", "--shift", "0+0*s2")
         assert code == 2
 
+    @pytest.mark.parametrize("shift, want", [
+        ("0,1", "period"),
+        ("1,1", "quasiperiod increment=1,0 direction=increasing"),
+        ("1,-1", "quasiperiod increment=1,0 direction=decreasing"),
+    ])
+    def test_map_file(self, capsys, tmp_path, shift, want):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"basis": ["1", "sqrt:2"], "matrix": [["1", "0"], ["0", "0"]]}))
+        code, out, _ = run(capsys, "classify", "--fn", f"map:{path}", "--shift", shift)
+        assert code == 0 and out.strip() == want
+        f = qspan.load_map(str(path))
+        cls = qspan.classify_shift(f, qspan.parse_coords(shift, f.basis))
+        if cls.kind is qspan.ShiftKind.PERIOD:
+            assert want == "period"
+        else:
+            assert want.split()[1:] == [
+                f"increment={qspan.format_element(cls.increment)}", f"direction={cls.direction.value}"
+            ]
+
+    def test_unsupported_function_exit_two(self, capsys):
+        code, out, err = run(capsys, "classify", "--fn", "h", "--shift", "1")
+        assert code == 2 and out == "" and "classify supports" in err
+
 
 class TestDensityWitness:
     def test_golden(self, capsys):
@@ -175,6 +224,10 @@ class TestDensityWitness:
         lines = out.strip().splitlines()
         assert lines[0] == "11/2+-7/2*s2"
         assert lines[1].endswith(": OK")
+
+    def test_malformed_rect_exit_two(self, capsys):
+        code, out, err = run(capsys, "density-witness", "--fn", "p", "--rect", "0,1,5")
+        assert code == 2 and out == "" and "expected `x1,x2,y1,y2`" in err
 
 
 class TestSample:
@@ -229,6 +282,30 @@ class TestSample:
         assert data["fn"] == "h"
         assert len(data["rows"]) == 5
 
+    def test_cf_matches_evaluate(self, capsys, tmp_path):
+        # the grid meets the hulls of sets 0 and 1, at Cantor points and not
+        out_file = tmp_path / "cf.csv"
+        code, _, _ = run(
+            capsys, "sample", "--fn", "cf", "--max-index", "8",
+            "--from=-1", "--to", "1", "--step", "1/16", "--out", str(out_file),
+        )
+        assert code == 0
+        with open(out_file) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "cf"] and len(rows) - 1 == 33
+        for x, value in rows[1:]:
+            assert value == format_rational(cantor.evaluate(parse_rational(x), 8)[0]), x
+        assert {value for _, value in rows[1:]} != {"0"}
+
+    def test_malformed_from_exit_two(self, capsys, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sample", "--fn", "h",
+            "--from", "one", "--to", "1", "--step", "1/4", "--out", str(out_file),
+        )
+        assert code == 2 and out == "" and "not a number: 'one'" in err
+        assert not out_file.exists()
+
     def test_bad_range(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sample", "--fn", "h",
@@ -243,6 +320,25 @@ class TestHypo:
         assert run(capsys, "hypo", "--fn", "recip", "--x", "2", "--y", "2/5")[1].strip() == "true"
         assert run(capsys, "hypo", "--fn", "recip", "--x", "2", "--y", "3/5")[1].strip() == "false"
         assert run(capsys, "hypo", "--fn", "recip", "--x", "-1", "--y", "0")[1].strip() == "true"
+
+    @pytest.mark.parametrize("fn", ["p", "q"])
+    def test_projections(self, capsys, fn):
+        # on a rational x, p gives x and q gives 0
+        for x, y in (("5/3", "5/3"), ("5/3", "2"), ("-2", "-2"), ("-2", "0"), ("0", "1/9")):
+            value = projections.PROJECTIONS[fn](QuadraticSurd(parse_rational(x), 0))
+            want = "true" if parse_rational(y) <= value.a else "false"
+            code, out, _ = run(capsys, "hypo", "--fn", fn, f"--x={x}", f"--y={y}")
+            assert code == 0 and out.strip() == want, (x, y)
+
+    def test_cf(self, capsys):
+        x, index = cantor.preimage(parse_rational("5/2"), parse_rational("-1/2"), 2)
+        assert index == 1 and cantor.evaluate(x, 8) == (parse_rational("5/2"), index)
+        for y, want in (("5/2", "true"), ("2", "true"), ("3", "false")):
+            code, out, _ = run(capsys, "hypo", "--fn", "cf", f"--x={x}", "--y", y, "--max-index", "8")
+            assert code == 0 and out.strip() == want, y
+        # past the bound every x reads 0
+        code, out, _ = run(capsys, "hypo", "--fn", "cf", f"--x={x}", "--y", "1", "--max-index", str(index))
+        assert code == 0 and out.strip() == "false"
 
 
 class TestCantorDump:

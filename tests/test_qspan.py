@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,33 @@ class TestBasisValidation:
             Symbol.parse("sqrt:8")
         with pytest.raises(ValueError):
             Symbol.parse("sqrt:1")
+
+    def test_trial_division(self):
+        # 18 and 50 are caught inside the loop (by 3**2 and 5**2), 15 after it
+        for d in (18, 50):
+            with pytest.raises(ValueError, match="squarefree"):
+                Symbol.parse(f"sqrt:{d}")
+        assert Symbol.parse("sqrt:15").radicand == 15
+        assert Symbol.parse("sqrt:999999999989").radicand == 999999999989  # a prime
+
+    def test_squarefree_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        for d in range(2, 3000):
+            squarefree = max(sympy.factorint(d).values()) == 1
+            try:
+                Symbol("sqrt", radicand=d)
+            except ValueError:
+                assert not squarefree, d
+            else:
+                assert squarefree, d
+
+    def test_radicand_bound(self):
+        # trial division costs O(sqrt(d)), so radicands past 10**12 are refused
+        for d in (10**12 + 39, 100000000000000000039):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"at most 10\*\*12"):
+                Symbol.parse(f"sqrt:{d}")
+            assert time.perf_counter() - start < 1
 
     def test_reject_duplicate_radicands(self):
         with pytest.raises(ValueError):
