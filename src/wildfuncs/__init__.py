@@ -7,51 +7,4 @@ either carried symbolically (quadratic surds, declared span bases) or
 bounded by certified enclosures.
 """
 
-from .exactcore import (
-    CylinderPrefix,
-    DigitExpansion,
-    Rational,
-    cylinder_for_interval,
-    format_rational,
-    fraction_value,
-    from_expansion,
-    parse_rational,
-    rational_arith,
-    to_expansion,
-)
-from .surds import (
-    QuadraticSurd,
-    format_surd,
-    parse_surd,
-    sqrt2_enclosure,
-    surd_arith,
-    surd_compare,
-    surd_floor,
-    surd_sign,
-)
-from .projections import (
-    Direction,
-    ShiftClass,
-    ShiftKind,
-    classify_shift,
-    density_witness,
-    radical_component,
-    rational_component,
-)
-from .cantor import AffineCantor, BitStream, basis_interval, cantor_member, decode_bits, encode_value, place_cantor
-from .qspan import (
-    AdditiveMap,
-    SpanBasis,
-    SpanElement,
-    Symbol,
-    UndecidedComparisonError,
-    apply_map,
-    is_injective,
-    is_surjective,
-    kernel_basis,
-    real_compare,
-    surjection_witness,
-)
-from . import cantor, projections, qspan, ternary, verify
-
 __version__ = "0.1.0"

@@ -5,6 +5,13 @@ verify.  Exact kinds read and print the rational/surd literal syntaxes and
 never go through floating point; only the two sine-based sample kinds are
 floating-point, and exist purely to emit plot data.
 
+Every exact input (--x, --y, --shift, --interval, --rect, the bounds of the
+exact sample kinds, map coordinates, map entries and sqrt: radicands) is a
+rational literal `n` or `n/d` with an optional leading minus, read by
+`exactcore.parse_rational`: no exponent, no decimal point, and at most
+4300 digits per integer.  Only the sine-based sample kinds take decimals.
+Exact answers print at any size.
+
 Exit codes: 0 success, 1 property failure, 2 usage or parse errors.
 """
 
@@ -29,12 +36,15 @@ def quasi_value(fn: str, x: float) -> float:
     return math.sin(x) + QUASI_FNS[fn] * x / 2.0
 
 
-def _parse_decimal(text: str) -> Fraction:
-    # sample bounds also accept plain decimal notation
+def _parse_float(text: str) -> float:
+    """A bound of the sine-based sample kinds: a finite float."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_pair(text: str) -> tuple[Fraction, Fraction]:
@@ -166,17 +176,15 @@ def _cmd_density_witness(args) -> int:
 
 def _sample_rows(args):
     fn = args.fn
+    parse = _parse_float if fn in QUASI_FNS else parse_rational
+    start, stop, step = parse(args.start), parse(args.stop), parse(args.step)
+    if start >= stop or step <= 0:
+        raise ValueError("need start < stop and positive step")
     if fn in QUASI_FNS:
-        start, stop, step = float(args.start), float(args.stop), float(args.step)
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [
             (x, quasi_value(fn, x)) for x in (start + i * step for i in range(count))
         ]
-    start, stop, step = (
-        _parse_decimal(args.start),
-        _parse_decimal(args.stop),
-        _parse_decimal(args.step),
-    )
     point, fmt = _rational_fn(fn, args.max_index)
     rows = []
     x = start
@@ -187,9 +195,6 @@ def _sample_rows(args):
 
 
 def _cmd_sample(args) -> int:
-    start, stop = _parse_decimal(args.start), _parse_decimal(args.stop)
-    if start >= stop or _parse_decimal(args.step) <= 0:
-        raise ValueError("need start < stop and positive step")
     rows = _sample_rows(args)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "csv":
@@ -312,11 +317,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # parse_rational bounds every exact input, so CPython's guard on int/str
+    # conversion (3.10.7 and later) is lifted to let exact answers print at
+    # any size, and restored for the caller
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except (ValueError, ZeroDivisionError, OSError, qspan.UndecidedComparisonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_entry() -> None:

@@ -16,7 +16,11 @@ Rational = Fraction
 
 SUPPORTED_BASES = (2, 3)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# digits per integer in a rational literal: CPython's own default guard on
+# int(str), so no literal that guard refuses is accepted
+MAX_LITERAL_DIGITS = 4300
+
+_RATIONAL_RE = re.compile(r"-?(\d+)(?:/(\d+))?")
 
 # digit bytes <-> ascii digit strings
 _ASCII_TO_DIGITS = bytes.maketrans(b"012", bytes([0, 1, 2]))
@@ -24,10 +28,20 @@ _DIGITS_TO_ASCII = bytes.maketrans(bytes([0, 1, 2]), b"012")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the literal syntax `n` or `n/d` with optional leading minus."""
+    """Parse the literal syntax `n` or `n/d` with optional leading minus.
+
+    This is the one parser of exact input text.  It takes no exponent, so
+    a short literal never makes a huge integer, and it refuses an integer
+    of more than MAX_LITERAL_DIGITS digits before converting it.
+    """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a number: {text!r} (rational literals are n or n/d)")
+    if max(len(m[1]), len(m[2] or "")) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"rational literal too long: at most {MAX_LITERAL_DIGITS} digits per integer"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
+from .exactcore import parse_rational
+
 DEFAULT_PRECISION = 128
 
 
@@ -183,7 +185,9 @@ class Symbol:
         if text == "1":
             return cls("one")
         if text.startswith("sqrt:"):
-            return cls("sqrt", radicand=int(text[5:]))
+            if "/" in text:
+                raise ValueError(f"radicand must be an integer literal, got {text[5:]!r}")
+            return cls("sqrt", radicand=parse_rational(text[5:]).numerator)
         if text.startswith("opaque:"):
             return cls("opaque", name=text[7:])
         raise ValueError(f"unknown symbol: {text!r}")
@@ -575,28 +579,28 @@ def point_symmetry_identity(f: AdditiveMap, x0: SpanElement, x: SpanElement) -> 
 def load_map(path: str) -> AdditiveMap:
     """Read an additive map declaration: a JSON object with a `basis` list
     of symbol strings and a `matrix` list of rows, each a list of rational
-    literals (strings) or integers.  Any other shape raises ValueError, and
-    so do JSON floats and booleans: a float would decide an exact answer."""
+    literals (strings) or integers; both go through `parse_rational`.  Any
+    other shape raises ValueError, and so do JSON floats and booleans: a
+    float would decide an exact answer."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=parse_rational)
     if not isinstance(data, dict):
         raise ValueError("map file must hold a JSON object")
     basis, matrix = data.get("basis"), data.get("matrix")
     if not (isinstance(basis, list) and all(type(t) is str for t in basis)):
         raise ValueError("map file needs `basis`: a list of symbol strings")
     if not (isinstance(matrix, list) and all(
-        isinstance(row, list) and all(type(v) in (str, int) for v in row) for row in matrix
+        isinstance(row, list) and all(type(v) in (str, Fraction) for v in row) for row in matrix
     )):
         raise ValueError(
             "map file needs `matrix`: a list of rows of rational strings or integers"
         )
-    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    rows = tuple(tuple(parse_rational(v) if type(v) is str else v for v in row) for row in matrix)
     return AdditiveMap(SpanBasis.from_strings(basis), rows)
 
 
 def parse_coords(text: str, basis: SpanBasis) -> SpanElement:
-    parts = [p.strip() for p in text.split(",")]
-    return SpanElement(basis, tuple(Fraction(p) for p in parts))
+    return SpanElement(basis, tuple(parse_rational(p) for p in text.split(",")))
 
 
 def format_element(x: SpanElement) -> str:

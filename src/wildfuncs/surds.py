@@ -7,7 +7,6 @@ analysis.  No floating point anywhere.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -17,8 +16,6 @@ from .exactcore import parse_rational
 from .qspan import _sqrt_enclosure
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-_SURD_RE = re.compile(r"^(-?\d+(?:/\d+)?)\+(-?\d+(?:/\d+)?)\*s2$")
 
 
 @total_ordering
@@ -129,9 +126,10 @@ def sqrt2_enclosure(bits: int) -> tuple[Fraction, Fraction]:
 def parse_surd(text: str) -> QuadraticSurd:
     """Parse `a+b*s2`; a bare rational literal is accepted as a+0*s2."""
     text = text.strip()
-    m = _SURD_RE.match(text)
-    if m:
-        return QuadraticSurd(parse_rational(m.group(1)), parse_rational(m.group(2)))
+    if text.endswith("*s2"):
+        a, plus, b = text[:-3].partition("+")
+        if plus:
+            return QuadraticSurd(parse_rational(a), parse_rational(b))
     return QuadraticSurd(parse_rational(text), 0)
 
 

@@ -15,6 +15,21 @@ from wildfuncs.surds import QuadraticSurd, parse_surd
 
 from test_qspan import BAD_MAP_FILES
 
+LONG = "1" * 4301  # one digit past the bound of parse_rational
+OK_MAP = {"basis": ["1", "sqrt:2"], "matrix": [["1", "0"], ["0", "0"]]}
+# (map file text or None for `--fn h`, --x): exponents and over-long
+# integers in every exact input that eval reads
+REFUSED_LITERALS = {
+    "exponent-x": (None, "1e3"),
+    "long-x": (None, LONG),
+    "exponent-coordinate": (json.dumps(OK_MAP), "1e-999999999,0"),
+    "long-coordinate": (json.dumps(OK_MAP), f"{LONG},0"),
+    "long-json-integer": ('{"basis": ["1", "sqrt:2"], "matrix": [[%s, 0], [0, 0]]}' % LONG, "1,0"),
+    **{name: (json.dumps(BAD_MAP_FILES[name]), "1,0") for name in (
+        "exponent-entry", "long-entry", "long-radicand", "fraction-radicand", "underscore-radicand"
+    )},
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -91,6 +106,31 @@ class TestEval:
         path.write_text(json.dumps(BAD_MAP_FILES[name]))
         code, out, err = run(capsys, "eval", "--fn", f"map:{path}", "--x", "3,2")
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", REFUSED_LITERALS)
+    def test_literal_refused_at_once(self, capsys, tmp_path, name):
+        map_text, x = REFUSED_LITERALS[name]
+        fn = "h"
+        if map_text is not None:
+            path = tmp_path / "m.json"
+            path.write_text(map_text)
+            fn = f"map:{path}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--fn", fn, "--x", x)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert ("at most 4300 digits" in err) == name.startswith("long-")
+
+    def test_4300_digit_literals_accepted(self, capsys, tmp_path):
+        n = "9" * 4300
+        code, out, _ = run(capsys, "eval", "--fn", "h", "--x", n)
+        assert code == 0 and out == "0\n"
+        # a JSON integer and a string entry at the bound; the answer is longer
+        path = tmp_path / "m.json"
+        path.write_text('{"basis": ["1", "sqrt:2"], "matrix": [[%s, 0], [0, "%s"]]}' % (n, n))
+        code, out, _ = run(capsys, "eval", "--fn", f"map:{path}", "--x", f"10,{n}")
+        # (10**4300 - 1)**2 = 10**8600 - 2 * 10**4300 + 1
+        assert code == 0 and out == f"{n}0,{'9' * 4299}8{'0' * 4299}1\n"
 
     def test_show_digits_expands_once(self, capsys, monkeypatch):
         calls = []
@@ -177,6 +217,12 @@ class TestPreimage:
             code, out, _ = run(capsys, "preimage", "--fn", "cf", "--y", "1/2", "--interval", interval)
             assert time.perf_counter() - start < 4, interval
             assert code == 0 and out.strip().endswith(": OK")
+
+    def test_answer_longer_than_4300_digits(self, capsys):
+        # the witness has 15656 decimal digits in one integer
+        code, out, _ = run(capsys, "preimage", "--fn", "h", "--y", "1/65539", "--interval", "0,1")
+        assert code == 0 and out.rstrip().endswith(": OK")
+        assert len(out.splitlines()[0]) == 31275
 
 
 class TestClassify:
@@ -304,6 +350,26 @@ class TestSample:
             "--from", "one", "--to", "1", "--step", "1/4", "--out", str(out_file),
         )
         assert code == 2 and out == "" and "not a number: 'one'" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("fn, start, step", [
+        ("h", "0", "1e-999999999"),
+        ("h", "0", "0.25"),
+        ("quasi:sin+x/2", "-inf", "0.01"),
+        ("quasi:sin+x/2", "0", "nan"),
+        ("quasi:sin+x/2", "0", "1e-999999999"),
+    ])
+    def test_bound_refused_at_once(self, capsys, tmp_path, fn, start, step):
+        # exact kinds take rational literals only; the float samplers take
+        # finite floats and a positive step
+        out_file = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "sample", "--fn", fn,
+            f"--from={start}", "--to", "1", "--step", step, "--out", str(out_file),
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == "" and err.startswith("error: ")
         assert not out_file.exists()
 
     def test_bad_range(self, capsys, tmp_path):
@@ -479,6 +545,28 @@ class TestPinnedDigests:
 class TestUsage:
     def test_missing_command(self, capsys):
         assert main([]) == 2
+
+    def test_package_import_loads_no_submodule(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wildfuncs; print([m for m in sys.modules if m.startswith('wildfuncs.')])"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="CPython before 3.10.7 has no int/str digit guard")
+    def test_digit_guard_restored(self, capsys):
+        # main lifts the guard while a command runs and restores the
+        # caller's value, on success and on error
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            for x, want in (("226/243", 0), ("1e3", 2)):
+                assert run(capsys, "eval", "--fn", "h", "--x", x)[0] == want
+                assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -77,9 +77,19 @@ class TestRationalArith:
         assert parse_rational("5/8") == F(5, 8)
         assert parse_rational("-3") == F(-3)
         assert format_rational(F(-7, 2)) == "-7/2"
-        for bad in ("1.5", "a", "1/2/3", "1e3", ""):
+        for bad in ("1.5", "a", "1/2/3", "1e3", "", "1e-999999999", "1e999999999", "+1", "1_0",
+                    "1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    def test_digit_bound(self):
+        # 4300 digits per integer is CPython's default guard on int(str)
+        n = "9" * 4300
+        assert parse_rational(f"-{n}/{n}") == -1
+        assert parse_rational(n) == F(n)
+        for text in ("1" * 4301, f"1/{'0' * 4300}1"):
+            with pytest.raises(ValueError, match="at most 4300 digits"):
+                parse_rational(text)
 
 
 class TestToExpansion:

@@ -1,9 +1,12 @@
-"""Property round trips for the rational literal codec and the expansions.
+"""Property round trips for the rational literal codec and the expansions,
+and an oracle for the literal grammar.
 
 Denominators reach about 2 * 10**5, so base-3 cycles run past the lane
 cutoff of `exactcore._divide` as well as below it.
 """
 
+import contextlib
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -42,6 +45,63 @@ def test_parse_then_format(n, d):
     canonical = f"{n // g}" if d == g else f"{n // g}/{d // g}"
     assert format_rational(x) == canonical
     assert parse_rational(canonical) == x
+
+
+# the literal grammar restated without a regex: after strip(), an optional
+# minus, then one or two runs of 1 to 4300 ASCII digits joined by "/", the
+# second not all zeros
+LITERAL_CHARS = "0123456789-/.e+_ "
+
+
+def grammar_accepts(text: str) -> bool:
+    body = text.strip()
+    body = body[1:] if body.startswith("-") else body
+    parts = body.split("/")
+    return (
+        len(parts) <= 2
+        and all(0 < len(p) <= 4300 and set(p) <= set("0123456789") for p in parts)
+        and (len(parts) == 1 or set(parts[1]) != {"0"})
+    )
+
+
+short_texts = st.text(LITERAL_CHARS, max_size=12)
+# digit runs on both sides of the 4300-digit bound, wrapped in short noise
+long_texts = st.builds(
+    lambda head, n, digit, tail: head + digit * n + tail,
+    st.text(LITERAL_CHARS, max_size=3),
+    st.integers(4290, 4310),
+    st.sampled_from("019"),
+    st.text(LITERAL_CHARS, max_size=3),
+)
+
+
+@contextlib.contextmanager
+def int_digits_unguarded():
+    # the CLI lifts CPython's own int/str digit guard (3.10.7 and later), so
+    # the oracle checks the parser's bound without it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(short_texts | long_texts)
+def test_parse_rational_oracle(text):
+    with int_digits_unguarded():
+        try:
+            x = parse_rational(text)
+        except ValueError:
+            assert not grammar_accepts(text), text
+        else:
+            # Fraction(text) also takes exponents, so it sees accepted text only
+            assert grammar_accepts(text), text
+            assert x == F(text)
 
 
 @pytest.mark.parametrize("base", (2, 3))

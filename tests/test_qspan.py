@@ -629,7 +629,9 @@ class TestGraphIdentities:
             assert point_symmetry_identity(f, rand_elem(rng), rand_elem(rng))
 
 
-# map files of the wrong shape, or with JSON floats or booleans for entries
+# map files of the wrong shape, with JSON floats or booleans for entries, or
+# with literals outside the rational grammar: an exponent, an integer of more
+# than 4300 digits, a radicand that is not an integer literal
 BAD_MAP_FILES = {
     "no-basis": {"matrix": [["1", "0"], ["0", "0"]]},
     "no-matrix": {"basis": ["1", "sqrt:2"]},
@@ -639,6 +641,11 @@ BAD_MAP_FILES = {
     "bool-entry": {"basis": ["1", "sqrt:2"], "matrix": [[True, 0], [0, 0]]},
     "row-not-list": {"basis": ["1", "sqrt:2"], "matrix": ["10", "00"]},
     "basis-number": {"basis": [1, "sqrt:2"], "matrix": [["1", "0"], ["0", "0"]]},
+    "exponent-entry": {"basis": ["1", "sqrt:2"], "matrix": [["1e999999999", "0"], ["0", "0"]]},
+    "long-entry": {"basis": ["1", "sqrt:2"], "matrix": [["1" * 4301, "0"], ["0", "0"]]},
+    "long-radicand": {"basis": ["1", "sqrt:" + "1" * 4301], "matrix": [["1", "0"], ["0", "0"]]},
+    "fraction-radicand": {"basis": ["1", "sqrt:4/2"], "matrix": [["1", "0"], ["0", "0"]]},
+    "underscore-radicand": {"basis": ["1", "sqrt:1_0"], "matrix": [["1", "0"], ["0", "0"]]},
 }
 
 
