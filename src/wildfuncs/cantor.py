@@ -482,48 +482,61 @@ class BitStream:
     cycle: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", bytes(self.prefix))
-        object.__setattr__(self, "cycle", bytes(self.cycle))
+        if type(self.prefix) is not bytes or type(self.cycle) is not bytes:
+            object.__setattr__(self, "prefix", bytes(self.prefix))
+            object.__setattr__(self, "cycle", bytes(self.cycle))
         for part in (self.prefix, self.cycle):
             if part and max(part) > 1:
                 raise ValueError("stream digits must be bits")
 
-    def bit(self, i: int) -> int:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        if self.cycle:
-            return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-        return 0
+
+def _head(s: BitStream, n: int) -> bytes:
+    """The first n bits of the stream."""
+    prefix, cycle = s.prefix, s.cycle
+    k = n - len(prefix)
+    if k <= 0:
+        return prefix[:n]
+    if not cycle:
+        return prefix + bytes(k)
+    return prefix + (cycle * (k // len(cycle) + 1))[:k]
 
 
 def decode_bits(s: BitStream) -> Fraction:
     """Decode: sign bit (1 -> +), unary run of 1s giving the integer digit
     count, that many integer bits, then binary fraction bits.  A stream whose
     unary run never terminates decodes to 0."""
-    endless = bool(s.cycle) and 0 not in s.cycle and 0 not in s.prefix[1:]
-    if endless:
-        return Fraction(0)
-    sign = 1 if s.bit(0) == 1 else -1
-    z = 1
-    while s.bit(z) == 1:
-        z += 1
-    m = z - 1
-    ipart = _int_from_digits(bytes(s.bit(z + 1 + t) for t in range(m)), 2)
-    start = z + 1 + m
+    prefix, cycle = s.prefix, s.cycle
+    p, c = len(prefix), len(cycle)
+    # z: where the unary run ends, the first 0 past the sign bit
+    z = prefix.find(0, 1)
+    if z < 0:
+        if not cycle:
+            z = max(p, 1)
+        elif 0 not in cycle:
+            return Fraction(0)  # the run never ends
+        elif p:
+            z = p + cycle.find(0)
+        else:  # the sign bit is the cycle's first bit
+            j = cycle.find(0, 1)
+            z = j if j >= 0 else c
+    # z - 1 integer bits follow the 0, and the fraction bits start at 2z
+    head = _head(s, 2 * z)
+    ipart = _int_from_digits(head[z + 1 :], 2)
+    start = 2 * z
     # fraction bits that start inside the cycle start a rotation of it
-    off = max(0, start - len(s.prefix)) % (len(s.cycle) or 1)
-    frac = fraction_value(s.prefix[start:], s.cycle[off:] + s.cycle[:off], 2)
-    return sign * (ipart + frac)
+    off = max(0, start - p) % (c or 1)
+    frac = fraction_value(prefix[start:], cycle[off:] + cycle[:off], 2)
+    n, d = frac.numerator, frac.denominator
+    return Fraction((ipart * d + n) if head[0] == 1 else -(ipart * d + n), d)
 
 
 def encode_value(y: Fraction) -> BitStream:
     """Right inverse of decode_bits on every rational (zero encodes as +)."""
-    y = Fraction(y)
-    bits = to_expansion(abs(y), 2)
+    bits = to_expansion(y, 2)
     int_bits = bits.integer_digits
     prefix = (
-        bytes([0 if y < 0 else 1])
-        + bytes([1]) * len(int_bits)
+        (b"\x01" if bits.sign > 0 else b"\x00")
+        + b"\x01" * len(int_bits)
         + b"\x00"
         + int_bits
         + bits.prefix
@@ -535,12 +548,17 @@ def encode_value(y: Fraction) -> BitStream:
 # evaluation and preimages
 
 
+# Cantor digits 0/2 <-> bits 0/1
+_HALVE = bytes.maketrans(b"\x02", b"\x01")
+_DOUBLE = bytes.maketrans(b"\x01", b"\x02")
+
+
 def _halved(digits: bytes) -> bytes:
-    return bytes(v >> 1 for v in digits)
+    return digits.translate(_HALVE)
 
 
 def _doubled(bits: bytes) -> bytes:
-    return bytes(v << 1 for v in bits)
+    return bits.translate(_DOUBLE)
 
 
 def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:

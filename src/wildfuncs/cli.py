@@ -181,7 +181,10 @@ def _sample_rows(args):
     if start >= stop or step <= 0:
         raise ValueError("need start < stop and positive step")
     if fn in QUASI_FNS:
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError("too many rows: (to - from) / step overflows a float")
+        count = int(math.floor(span + 1e-9)) + 1
         return [
             (x, quasi_value(fn, x)) for x in (start + i * step for i in range(count))
         ]

@@ -49,16 +49,32 @@ def simplest_dyadic_between(lo: QuadraticSurd, hi: QuadraticSurd) -> Fraction:
     if surd_compare(lo, hi) != LESS:
         raise ValueError("empty interval")
     # hi = (a + b*sqrt(2))/d, so m/2**k < hi iff a*2**k - m*d + b*2**k*sqrt(2) > 0
-    a = hi.a.numerator * hi.b.denominator
-    b = hi.b.numerator * hi.a.denominator
-    d = hi.a.denominator * hi.b.denominator
-    k = 0
-    while True:
+    a, b, d = _over_one_denominator(hi)
+    for k, f in enumerate(_doubled_floors(lo)):
         scale = 1 << k
-        m = surd_floor(QuadraticSurd(lo.a * scale, lo.b * scale)) + 1
-        if _int_sign(a * scale - m * d, b * scale) > 0:
-            return Fraction(m, scale)
-        k += 1
+        if _int_sign(a * scale - (f + 1) * d, b * scale) > 0:
+            return Fraction(f + 1, scale)
+
+
+def _over_one_denominator(u: QuadraticSurd) -> tuple[int, int, int]:
+    """Integers (a, b, d), d > 0, with u = (a + b*sqrt(2))/d."""
+    return (u.a.numerator * u.b.denominator, u.b.numerator * u.a.denominator,
+            u.a.denominator * u.b.denominator)
+
+
+def _doubled_floors(u: QuadraticSurd):
+    """floor(u * 2**k) for k = 0, 1, 2, ...
+
+    The first is surd_floor(u).  With f = floor(u * 2**k), the next is 2f or
+    2f + 1, and it is 2f + 1 exactly when u * 2**(k+1) - (2f + 1) >= 0: one
+    sign test on integers (equality only when u is rational).
+    """
+    a, b, d = _over_one_denominator(u)
+    f = surd_floor(u)
+    while True:
+        yield f
+        a, b = 2 * a, 2 * b
+        f = 2 * f + (_int_sign(a - (2 * f + 1) * d, b) >= 0)
 
 
 def density_witness(

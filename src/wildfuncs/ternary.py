@@ -32,8 +32,8 @@ _LEAD_DIGITS = 64
 
 
 def _fractional_expansion(x: Fraction) -> DigitExpansion:
-    x = Fraction(x)
-    return to_expansion(x - (x.numerator // x.denominator), 3)
+    num, den = x.numerator, x.denominator
+    return to_expansion(x if 0 <= num < den else Fraction(num % den, den), 3)
 
 
 def _lead_has_two(x: Fraction) -> bool:
@@ -77,7 +77,8 @@ def _read_tail(e: DigitExpansion, pos: tuple[int, int] | None) -> tuple[bytes, F
 
 def _binary_tail(x: Fraction) -> tuple[bytes, Fraction] | None:
     """_read_tail for frac(x), after the lead check."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if _lead_has_two(x):
         return None
     e = _fractional_expansion(x)
@@ -145,7 +146,7 @@ def preimage(
 def digit_audit(x: Fraction) -> dict:
     """Digit-level trace of one evaluation, for display; both values are
     read off the one expansion it shows."""
-    e = _fractional_expansion(x)
+    e = _fractional_expansion(Fraction(x))
     pos = _locate_last_two(e)
     tail = _read_tail(e, pos)
     audit = {

@@ -388,11 +388,16 @@ class TestCodec:
 
     @staticmethod
     def _decode_oracle(prefix, cycle):
-        # the stream read bit by bit; the fraction bits past the header are
+        # the stream read bit by bit (zeros past the prefix when there is no
+        # cycle); the fraction bits past the header and the prefix are
         # periodic, so they sum as a geometric series of one n-bit block
         def bit(i):
-            return prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)]
+            if i < len(prefix):
+                return prefix[i]
+            return cycle[(i - len(prefix)) % len(cycle)] if cycle else 0
 
+        if cycle and 0 not in cycle and 0 not in prefix[1:]:
+            return F(0)  # the unary run never ends
         z = 1
         while bit(z) == 1:
             z += 1
@@ -401,11 +406,16 @@ class TestCodec:
         for t in range(m):
             ipart = 2 * ipart + bit(z + 1 + t)
         start = z + 1 + m
-        assert start >= len(prefix)  # the fraction starts inside the cycle
+        lead = max(start, len(prefix))  # the periodic bits start here
+        head = 0
+        for k in range(start, lead):
+            head = 2 * head + bit(k)
+        frac = F(head)
         n = len(cycle)
-        block = int("".join(str(bit(start + k)) for k in range(n)), 2)
-        frac = F(block, 1 << n) / (1 - F(1, 1 << n))
-        return (1 if bit(0) == 1 else -1) * (ipart + frac)
+        if n:
+            block = int("".join(str(bit(lead + k)) for k in range(n)), 2)
+            frac += F(block, 1 << n) / (1 - F(1, 1 << n))
+        return (1 if bit(0) == 1 else -1) * (ipart + frac / (1 << (lead - start)))
 
     def _check_offsets(self, rng, cycle_tail, offsets):
         # prefix = sign, unary run of m ones, 0; the cycle opens with the m
@@ -414,6 +424,7 @@ class TestCodec:
         for off in offsets:
             sign = rng.randint(0, 1)
             prefix = bytes([sign]) + b"\x01" * off + b"\x00"
+            assert 2 * (off + 1) >= len(prefix)  # the fraction starts inside the cycle
             cycle = bytes(rng.randint(0, 1) for _ in range(off)) + cycle_tail[off:]
             assert len(cycle) == n
             got = decode_bits(BitStream(prefix, cycle))
@@ -438,6 +449,42 @@ class TestCodec:
                     cycle = b"\x01" * m + b"\x00" + ibits + rest
                     got = decode_bits(BitStream(prefix, cycle))
                     assert got == self._decode_oracle(prefix, cycle)
+
+    def test_decode_random_streams(self):
+        # short random prefixes and cycles: the header and the fraction may
+        # each end in the prefix or in the cycle, and either may be empty
+        rng = random.Random(91)
+        for _ in range(3000):
+            prefix = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, 12)))
+            cycle = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, 12)))
+            got = decode_bits(BitStream(prefix, cycle))
+            assert got == self._decode_oracle(prefix, cycle), (prefix, cycle)
+
+    @pytest.mark.parametrize("prefix, cycle", [
+        # empty prefix: the sign bit and the run come from the cycle
+        ("", "0"), ("", "1011"), ("", "0111"), ("", "0101"), ("", "1101001"),
+        # the unary run ends inside the cycle
+        ("11", "1101"), ("1", "1110"), ("011", "10"), ("1111", "0110"),
+        # endless runs decode to 0
+        ("", "1"), ("1", "1"), ("0", "11"), ("01111", "1"), ("1", "111"),
+        # terminating streams: zeros past the prefix
+        ("", ""), ("0", ""), ("1", ""), ("111", ""), ("0111", ""), ("1101", ""),
+        ("11011011", ""), ("1110101", ""),
+    ])
+    def test_decode_edge_streams(self, prefix, cycle):
+        prefix, cycle = (bytes(int(c) for c in bits) for bits in (prefix, cycle))
+        assert decode_bits(BitStream(prefix, cycle)) == self._decode_oracle(prefix, cycle)
+
+    def test_decode_edge_values(self):
+        # the same edges by hand
+        def bits(text):
+            return bytes(int(c) for c in text)
+
+        assert decode_bits(BitStream(b"", bits("1"))) == 0
+        assert decode_bits(BitStream(b"", b"")) == 0
+        assert decode_bits(BitStream(bits("111"), b"")) == 0  # + 11 0 then integer bits 00
+        assert decode_bits(BitStream(bits("11011"), b"")) == F(3, 2)  # + 1 0, 1, then .1
+        assert decode_bits(BitStream(b"", bits("0101"))) == -F(4, 3)  # - 1 0, 1, then .(01)
 
     def test_decode_long_cycle_inside(self):
         rng = random.Random(97)

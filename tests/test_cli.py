@@ -372,6 +372,17 @@ class TestSample:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert not out_file.exists()
 
+    def test_float_span_overflow_exit_two(self, capsys, tmp_path):
+        # (to - from) / step is inf: refused before any row is counted
+        out_file = tmp_path / "q.csv"
+        code, out, err = run(
+            capsys, "sample", "--fn", "quasi:sin+x/2",
+            "--from=-1e308", "--to", "1e308", "--step", "1", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_bad_range(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sample", "--fn", "h",

@@ -127,6 +127,102 @@ class TestToExpansion:
             to_expansion(F(1, 2), 10)
 
 
+class TestIntegerBoundaries:
+    # to_expansion reads the numerator and denominator once and from_expansion
+    # builds one Fraction; ints, signs, integer values and zero go through both
+
+    @pytest.mark.parametrize("x", [0, 5, -7, 1, -1, 3**40, -(2**70), F(0), F(-12, 4), F(9, 3),
+                                   F(-1, 3), F(-10, 4), F(7, 6)])
+    def test_round_trip(self, x):
+        for base in (2, 3):
+            e = to_expansion(x, base)
+            assert e.sign == (-1 if x < 0 else 1)
+            back = from_expansion(e)
+            assert type(back) is F and back == x
+            assert e == to_expansion(F(x), base)
+
+    def test_integer_values_have_no_fraction_digits(self):
+        for x in (0, 4, -4, F(-12, 4), F(27, 1)):
+            for base in (2, 3):
+                e = to_expansion(x, base)
+                assert e.prefix == e.cycle == b""
+        assert to_expansion(-9, 3).digit_str() == "-100"
+        assert to_expansion(F(-12, 4), 2).digit_str() == "-11"
+        assert to_expansion(0, 2).digit_str() == "0"
+
+    def test_negative_fractions_mirror_positive(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            x = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            for base in (2, 3):
+                pos, neg = to_expansion(x, base), to_expansion(-x, base)
+                assert (neg.sign, pos.sign) == (-1, 1)
+                assert (neg.integer_digits, neg.prefix, neg.cycle) == (pos.integer_digits, pos.prefix, pos.cycle)
+                assert from_expansion(neg) == -x
+
+    def test_parts_stored_as_bytes(self):
+        e = DigitExpansion(3, 1, bytearray(b"\x01"), bytearray(b"\x02"), bytearray(b"\x00\x01"))
+        assert all(type(part) is bytes for part in (e.integer_digits, e.prefix, e.cycle))
+        assert e == DigitExpansion(3, 1, b"\x01", b"\x02", b"\x00\x01")
+        assert hash(e) == hash(DigitExpansion(3, 1, b"\x01", b"\x02", b"\x00\x01"))
+        assert from_expansion(e) == 1 + F(2, 3) + F(1, 3 * 8)
+        # parts already bytes are kept as they are, not copied
+        cycle = bytes([0, 1])
+        assert DigitExpansion(3, 1, b"", b"", cycle).cycle is cycle
+        # every canonical-form check still runs on bytearray parts
+        with pytest.raises(ValueError, match="not minimal"):
+            DigitExpansion(2, 1, b"", b"", bytearray(b"\x00\x01\x00\x01"))
+        with pytest.raises(ValueError, match="out of range"):
+            DigitExpansion(2, 1, bytearray(b"\x02"), b"", b"")
+
+
+class TestMultiplicativeOrder:
+    # exact for every modulus: sympy's n_order factors, the search does not
+    def test_every_small_modulus(self):
+        n_order = pytest.importorskip("sympy.ntheory").n_order
+        for b in (2, 3):
+            for m in range(2, 20000):
+                if gcd(b, m) == 1:
+                    assert exactcore._multiplicative_order(b, m) == n_order(b, m), (b, m)
+
+    def test_full_period_primes(self):
+        # primes past the long-digits cycle targets with 2 and 3 both
+        # primitive roots, so every order is p - 1, past several doublings
+        sympy = pytest.importorskip("sympy")
+        for target in (37_000, 120_000, 1_000_000):
+            p, found = target, 0
+            while found < 3:
+                p = sympy.nextprime(p)
+                orders = [exactcore._multiplicative_order(b, p) for b in (2, 3)]
+                assert orders == [sympy.n_order(b, p) for b in (2, 3)], p
+                found += orders == [p - 1, p - 1]
+
+    def test_composite_and_prime_power_moduli(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        moduli = [5**7, 7**6, 11 * 13 * 17 * 19 * 23, 2**31 - 1, 10**9 + 7]
+        moduli += [rng.randrange(10**5, 10**7) for _ in range(40)]
+        for m in moduli:
+            for b in (2, 3):
+                if gcd(b, m) == 1:
+                    assert exactcore._multiplicative_order(b, m) == sympy.n_order(b, m), (b, m)
+
+    def test_wide_moduli_from_ternary_cycles(self):
+        # a cycle of n ternary digits puts (3**n - 1) // g in the denominator;
+        # the order of 3 there is the least divisor d of n with 3**d = 1,
+        # which needs no factoring of the modulus
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(31)
+        for n in list(range(1, 60)) + [rng.randint(60, 600) for _ in range(40)] + [600]:
+            full = 3**n - 1
+            g = gcd(full, rng.randrange(1, full + 1) if n > 1 else 1)
+            m = full // g
+            if m == 1:
+                continue
+            want = min(d for d in sympy.divisors(n) if pow(3, d, m) == 1)
+            assert exactcore._multiplicative_order(3, m) == want, (n, g)
+
+
 class TestFromExpansion:
     def test_cycle_geometric_series(self):
         e = DigitExpansion(2, 1, b"", b"", bytes([0, 1]))

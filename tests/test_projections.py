@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from wildfuncs.projections import (
+    _doubled_floors,
     Direction,
     PROJECTIONS,
     ShiftKind,
@@ -111,6 +112,21 @@ class TestSimplestDyadic:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             simplest_dyadic_between(QuadraticSurd(1, 0), QuadraticSurd(1, 0))
+
+    def test_doubled_floors_match_surd_floor(self):
+        # each floor(u * 2**k) comes from the last by one sign test; surd_floor
+        # of the scaled surd is the oracle at every k, for surds of either
+        # sign, rational ones (where the test meets equality) included
+        rng = random.Random(46)
+        for i in range(600):
+            u = rand_surd(rng, 10**6, 10**4)
+            if i % 4 == 0:
+                u = QuadraticSurd(u.a, 0)
+            elif i % 4 == 1:  # odd / 2**j: u * 2**j is an odd integer
+                u = QuadraticSurd(F(rng.randrange(-999, 1000, 2), 2 ** rng.randint(1, 40)), 0)
+            floors = _doubled_floors(u)
+            for k in range(48):
+                assert next(floors) == surd_floor(QuadraticSurd(u.a * 2**k, u.b * 2**k)), (u, k)
 
 
 class TestDensityWitness:
