@@ -235,19 +235,6 @@ def basis_interval(n: int) -> tuple[Fraction, Fraction]:
 # inductive placement
 
 
-@dataclass(frozen=True)
-class AffineCantor:
-    """Image of the standard ternary Cantor set under t -> c + t*(d - c)."""
-
-    index: int
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        if self.c >= self.d:
-            raise ValueError("need c < d")
-
-
 def _clipped_cover(c: Fraction, d: Fraction, lo: Fraction, hi: Fraction, t: int):
     """Level-t cover intervals of the Cantor set on [c, d] that meet (lo, hi)."""
     if d <= lo or c >= hi:
@@ -428,14 +415,6 @@ def placement_record(i: int) -> dict:
     return dict(_state.records[i])
 
 
-def place_cantor(i: int) -> AffineCantor:
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    ensure_placed(i + 1)
-    rec = _state.records[i]
-    return AffineCantor(i, rec["c"], rec["d"])
-
-
 def _reset_state() -> None:
     # test hook: drops every memoized enumeration and placement
     global _state
@@ -447,30 +426,22 @@ def _reset_state() -> None:
 
 
 def _unit_digits(t: Fraction) -> tuple[bytes, bytes] | None:
-    """Ternary digits of t in [0, 1] using only 0s and 2s, or None.
+    """Ternary digits of t using only 0s and 2s, or None when t is not in
+    the unit Cantor set (so also when t lies outside [0, 1]).
 
     Terminating expansions are also checked in their trailing-2 alternative
     form, so endpoints such as 1/3 = 0.0(2) count as members.
     """
-    if t == 0:
-        return b"", b""
     if t == 1:
         return b"", bytes([2])
     e = to_expansion(t, 3)
+    if e.sign < 0 or e.integer_digits:
+        return None
     if 1 not in e.prefix and 1 not in e.cycle:
         return e.prefix, e.cycle
     if not e.cycle and e.prefix[-1] == 1 and 1 not in e.prefix[:-1]:
         return e.prefix[:-1] + b"\x00", bytes([2])
     return None
-
-
-def cantor_member(x: Fraction, cs: AffineCantor) -> bool:
-    """Exact membership of x in the affine Cantor set."""
-    x = Fraction(x)
-    t = (x - cs.c) / (cs.d - cs.c)
-    if t < 0 or t > 1:
-        return False
-    return _unit_digits(t) is not None
 
 
 @dataclass(frozen=True)
@@ -594,7 +565,9 @@ def preimage(y: Fraction, l: Fraction, r: Fraction) -> tuple[Fraction, int]:
         if l < a and b < r:
             break
         n += 1
-    cs = place_cantor(n)
+    ensure_placed(n + 1)
+    rec = _state.records[n]
+    c, d = rec["c"], rec["d"]
     stream = encode_value(y)
     t = fraction_value(_doubled(stream.prefix), _doubled(stream.cycle), 3)
-    return cs.c + t * (cs.d - cs.c), n
+    return c + t * (d - c), n

@@ -12,7 +12,8 @@ rational literal `n` or `n/d` with an optional leading minus, read by
 4300 digits per integer.  Only the sine-based sample kinds take decimals.
 Exact answers print at any size.
 
-Exit codes: 0 success, 1 property failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 property failure, 2 usage or parse errors, and a
+`sample` of more than MAX_SAMPLE_ROWS rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .exactcore import format_rational, parse_rational
 from .surds import QuadraticSurd, parse_surd, format_surd
 
 QUASI_FNS = {"quasi:sin+x/2": 1, "quasi:sin-x/2": -1}
+
+# rows of one `sample` run; more exit 2 before any row is evaluated
+MAX_SAMPLE_ROWS = 10**6
 
 
 def quasi_value(fn: str, x: float) -> float:
@@ -185,16 +189,15 @@ def _sample_rows(args):
         if not math.isfinite(span):
             raise ValueError("too many rows: (to - from) / step overflows a float")
         count = int(math.floor(span + 1e-9)) + 1
-        return [
-            (x, quasi_value(fn, x)) for x in (start + i * step for i in range(count))
-        ]
+    else:
+        count = (stop - start) // step + 1
+    if count > MAX_SAMPLE_ROWS:
+        raise ValueError(f"too many rows: {count}, at most {MAX_SAMPLE_ROWS}")
+    xs = (start + i * step for i in range(count))
+    if fn in QUASI_FNS:
+        return [(x, quasi_value(fn, x)) for x in xs]
     point, fmt = _rational_fn(fn, args.max_index)
-    rows = []
-    x = start
-    while x <= stop:
-        rows.append((format_rational(x), fmt(point(x))))
-        x += step
-    return rows
+    return [(format_rational(x), fmt(point(x))) for x in xs]
 
 
 def _cmd_sample(args) -> int:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
-
 SUPPORTED_BASES = (2, 3)
 
 # per base: the digit values, and the top digit as a one-byte string
@@ -54,22 +52,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def rational_arith(x: Fraction, y: Fraction, op: str) -> Fraction:
-    """Exact rational arithmetic; `op` is one of add, sub, mul, div."""
-    x, y = Fraction(x), Fraction(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return x / y
-    raise ValueError(f"unknown operation: {op!r}")
 
 
 def _check_base(base: int) -> None:
@@ -387,10 +369,6 @@ class DigitExpansion:
         if not (ipart or prefix or cycle) and self.sign != 1:
             raise ValueError("zero carries sign +1")
 
-    @property
-    def is_terminating(self) -> bool:
-        return not self.cycle
-
     def digit_str(self) -> str:
         out = "-" if self.sign < 0 else ""
         out += self.integer_digits.translate(_DIGITS_TO_ASCII).decode() or "0"
@@ -539,13 +517,6 @@ class CylinderPrefix:
 
     def right(self) -> Fraction:
         return self.value + Fraction(1, self.base**self.depth)
-
-    def integer_part(self) -> int:
-        return self.value.numerator // self.value.denominator
-
-    def fraction_digits(self) -> bytes:
-        scaled = (self.value - self.integer_part()) * self.base**self.depth
-        return _int_to_digits(int(scaled), self.base, self.depth)
 
 
 def cylinder_for_interval(l: Fraction, r: Fraction, base: int) -> CylinderPrefix:

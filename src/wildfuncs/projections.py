@@ -15,6 +15,7 @@ from .surds import (
     LESS,
     QuadraticSurd,
     _int_sign,
+    _over_one_denominator,
     surd_compare,
     surd_floor,
     surd_sign,
@@ -54,12 +55,6 @@ def simplest_dyadic_between(lo: QuadraticSurd, hi: QuadraticSurd) -> Fraction:
         scale = 1 << k
         if _int_sign(a * scale - (f + 1) * d, b * scale) > 0:
             return Fraction(f + 1, scale)
-
-
-def _over_one_denominator(u: QuadraticSurd) -> tuple[int, int, int]:
-    """Integers (a, b, d), d > 0, with u = (a + b*sqrt(2))/d."""
-    return (u.a.numerator * u.b.denominator, u.b.numerator * u.a.denominator,
-            u.a.denominator * u.b.denominator)
 
 
 def _doubled_floors(u: QuadraticSurd):

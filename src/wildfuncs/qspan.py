@@ -123,12 +123,6 @@ def _e_enclosure(bits: int) -> tuple[Fraction, Fraction]:
 
 OPAQUE_ENCLOSURES = {"pi": _pi_enclosure, "e": _e_enclosure}
 
-
-def register_opaque(name: str, encloser) -> None:
-    """Register a certified interval evaluator bits -> (lo, hi)."""
-    OPAQUE_ENCLOSURES[name] = encloser
-
-
 _UNIT_ENCLOSURE = (Fraction(1), Fraction(1))
 
 
@@ -156,7 +150,7 @@ def _is_squarefree(d: int) -> bool:
 @dataclass(frozen=True)
 class Symbol:
     """One declared basis number: the unit 1, sqrt(radicand), or a named
-    constant looked up in the opaque-evaluator registry."""
+    constant (`pi` or `e`) with a certified evaluator in OPAQUE_ENCLOSURES."""
 
     kind: str
     radicand: int = 0
@@ -191,13 +185,6 @@ class Symbol:
         if text.startswith("opaque:"):
             return cls("opaque", name=text[7:])
         raise ValueError(f"unknown symbol: {text!r}")
-
-    def describe(self) -> str:
-        if self.kind == "one":
-            return "1"
-        if self.kind == "sqrt":
-            return f"sqrt:{self.radicand}"
-        return f"opaque:{self.name}"
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         if self.kind == "one":
@@ -234,9 +221,6 @@ class SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.symbols)
-
-    def describe(self) -> list[str]:
-        return [s.describe() for s in self.symbols]
 
 
 @dataclass(frozen=True)
@@ -379,11 +363,6 @@ def is_injective(f: AdditiveMap) -> bool:
     return rank(f) == f.basis.dim
 
 
-# full row rank; over a square rational matrix this coincides with
-# injectivity, which is what makes in-interval witnesses need a kernel
-is_surjective = is_injective
-
-
 def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
     """One exact solution of f(x) = y, or None if y is outside the image.
     Free coordinates are set to zero."""
@@ -432,11 +411,9 @@ def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
-def real_sign_offset(
-    x: SpanElement, offset: Fraction, precision_budget: int = DEFAULT_PRECISION
-) -> int | None:
+def real_sign_offset(x: SpanElement, offset: Fraction) -> int | None:
     """Exact sign of value(x) - offset; None only when opaque symbols are
-    involved and the precision budget runs out.
+    involved and DEFAULT_PRECISION bits do not decide it.
 
     Surds never equal the rational offset, so their enclosures separate
     from it; a rational x has an exact enclosure, lo == hi.
@@ -452,44 +429,22 @@ def real_sign_offset(
             return -1
         if lo == hi:
             return 0
-        if opaque and bits >= precision_budget:
+        if opaque and bits >= DEFAULT_PRECISION:
             return None
         bits *= 2
 
 
-def real_sign(x: SpanElement, precision_budget: int = DEFAULT_PRECISION) -> int | None:
-    return real_sign_offset(x, Fraction(0), precision_budget)
+def real_sign(x: SpanElement) -> int | None:
+    return real_sign_offset(x, Fraction(0))
 
 
-def real_compare(
-    u: SpanElement, v: SpanElement, precision_budget: int = DEFAULT_PRECISION
-) -> int | None:
-    """-1/0/+1 for the real values of u, v; 0 only on identical coordinates;
-    None when the budget is exhausted (opaque bases only)."""
-    if u.basis != v.basis:
-        raise ValueError("basis mismatch")
-    if u.coords == v.coords:
-        return 0
-    return real_sign(u - v, precision_budget)
-
-
-def classify_shift(
-    f: AdditiveMap, t: SpanElement, precision_budget: int = DEFAULT_PRECISION
-) -> ShiftClass:
+def classify_shift(f: AdditiveMap, t: SpanElement) -> ShiftClass:
     """Period when f(t) = 0, else quasiperiod with increment f(t); the
     direction compares the real-value signs of t and f(t)."""
-    return shift_class(
-        t, apply_map(f, t), lambda v: real_sign(v, precision_budget)
-    )
+    return shift_class(t, apply_map(f, t), real_sign)
 
 
-def surjection_witness(
-    f: AdditiveMap,
-    y: SpanElement,
-    l: Fraction,
-    r: Fraction,
-    precision_budget: int = DEFAULT_PRECISION,
-) -> SpanElement:
+def surjection_witness(f: AdditiveMap, y: SpanElement, l: Fraction, r: Fraction) -> SpanElement:
     """Exact x with f(x) = y whose real value lies strictly in (l, r).
 
     Solves for one preimage x0, then steers it along a kernel element of
@@ -500,7 +455,7 @@ def surjection_witness(
     only after the exact checks against l and then r, in grid order, so the
     witness is the first candidate the exact checks admit.  A skipped
     candidate is never checked, so one whose check would have run out of
-    budget no longer raises.
+    precision does not raise.
     """
     l, r = Fraction(l), Fraction(r)
     if l >= r:
@@ -513,7 +468,7 @@ def surjection_witness(
         raise ValueError("map is injective: no kernel to steer with")
     steer = None
     for k in kernel:
-        s = real_sign(k, precision_budget)
+        s = real_sign(k)
         if s is None:
             raise UndecidedComparisonError("kernel sign undecided within budget")
         if s != 0:
@@ -522,7 +477,7 @@ def surjection_witness(
     if steer is None:
         raise ValueError("kernel has no element of nonzero real value")
     depth = 0
-    while depth <= 4 * precision_budget:
+    while depth <= 4 * DEFAULT_PRECISION:
         bits = 32 + depth
         v0_lo, v0_hi = enclosure_value(x0, bits)
         vk_lo, vk_hi = enclosure_value(steer, bits)
@@ -544,12 +499,12 @@ def surjection_witness(
                 if outside:
                     continue
                 x = x0 + steer.scale(Fraction(m, 1 << depth))
-                s_lo = real_sign_offset(x, l, precision_budget)
+                s_lo = real_sign_offset(x, l)
                 if s_lo is None:
                     raise UndecidedComparisonError("interval check undecided")
                 if s_lo <= 0:
                     continue
-                s_hi = real_sign_offset(x, r, precision_budget)
+                s_hi = real_sign_offset(x, r)
                 if s_hi is None:
                     raise UndecidedComparisonError("interval check undecided")
                 if s_hi < 0:

@@ -13,7 +13,6 @@ from functools import total_ordering
 from math import isqrt
 
 from .exactcore import parse_rational
-from .qspan import _sqrt_enclosure
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -90,37 +89,25 @@ def surd_compare(u: QuadraticSurd, v: QuadraticSurd) -> int:
     return _int_sign(a * db, b * da)
 
 
-def surd_arith(u: QuadraticSurd, v: QuadraticSurd, op: str) -> QuadraticSurd:
-    if op == "add":
-        return u + v
-    if op == "sub":
-        return u - v
-    if op == "mul":
-        return u * v
-    raise ValueError(f"unknown operation: {op!r}")
+def _over_one_denominator(u: QuadraticSurd) -> tuple[int, int, int]:
+    """Integers (a, b, d), d > 0, with u = (a + b*sqrt(2))/d."""
+    return (u.a.numerator * u.b.denominator, u.b.numerator * u.a.denominator,
+            u.a.denominator * u.b.denominator)
 
 
 def surd_floor(u: QuadraticSurd) -> int:
     """Exact floor of a + b*sqrt(2).
 
-    With A, B, D integers such that u = (A + B*sqrt(2))/D and D > 0,
-    floor(u) = (A + floor(B*sqrt(2))) // D, and floor(B*sqrt(2)) comes from
-    an integer square root of 2*B*B.
+    With (A, B, D) from _over_one_denominator, floor(u) =
+    (A + floor(B*sqrt(2))) // D, and floor(B*sqrt(2)) comes from an integer
+    square root of 2*B*B.
     """
-    qa, qb = u.a.denominator, u.b.denominator
-    d = qa * qb
-    big_a = u.a.numerator * qb
-    big_b = u.b.numerator * qa
+    big_a, big_b, d = _over_one_denominator(u)
     if big_b >= 0:
         fb = isqrt(2 * big_b * big_b)
     else:
         fb = -isqrt(2 * big_b * big_b) - 1  # 2*B*B is never a perfect square
     return (big_a + fb) // d
-
-
-def sqrt2_enclosure(bits: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds lo <= sqrt(2) < hi with hi - lo = 2**-bits."""
-    return _sqrt_enclosure(2, bits)
 
 
 def parse_surd(text: str) -> QuadraticSurd:

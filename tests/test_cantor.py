@@ -11,17 +11,13 @@ import pytest
 from wildfuncs import cantor, cli
 from wildfuncs.exactcore import _int_to_digits, to_expansion
 from wildfuncs.cantor import (
-    AffineCantor,
     BitStream,
+    _unit_digits,
     basis_interval,
-    cantor_member,
     decode_bits,
     encode_value,
-    place_cantor,
     placement_record,
 )
-
-UNIT = AffineCantor(0, F(0), F(1))
 
 
 def _oracle_cover(c, d, lo, hi, t):
@@ -131,6 +127,21 @@ def _first_gap(t):
     raise AssertionError("no ternary digit 1 among the first 63")
 
 
+def _oracle_unit_digits(t):
+    # t in [0, 1] is in the unit Cantor set when its canonical ternary
+    # digits are only 0s and 2s, or when they terminate in their only 1: an
+    # endpoint, whose last 1 also reads as a 0 followed by 2s for ever
+    if t == 1:
+        return b"", b"\x02"
+    e = to_expansion(t, 3)
+    ones = (e.prefix + e.cycle).count(1)
+    if ones == 0:
+        return e.prefix, e.cycle
+    if ones == 1 and not e.cycle and e.prefix[-1] == 1:
+        return e.prefix[:-1] + b"\x00", b"\x02"
+    return None
+
+
 def _oracle_evaluate(x, bound):
     # full scan: the first set, in index order, whose hull coordinate t of x
     # lies in [0, 1] and has a 0/2 ternary expansion
@@ -138,7 +149,7 @@ def _oracle_evaluate(x, bound):
         rec = placement_record(i)
         t = (x - rec["c"]) / (rec["d"] - rec["c"])
         if 0 <= t <= 1:
-            digits = cantor._unit_digits(t)
+            digits = _oracle_unit_digits(t)
             if digits is not None:
                 bits = (bytes(v // 2 for v in digits[0]), bytes(v // 2 for v in digits[1]))
                 return decode_bits(BitStream(*bits)), i
@@ -270,9 +281,11 @@ class TestPlacement:
         assert time.perf_counter() - start < 10
 
     def test_place_returns_frozen_view(self):
-        cs = place_cantor(3)
+        # a record is a copy: changing it leaves the placement as it was
         rec = placement_record(3)
-        assert (cs.index, cs.c, cs.d) == (3, rec["c"], rec["d"])
+        c = rec["c"]
+        rec["c"] = rec["d"]
+        assert rec["index"] == 3 and placement_record(3)["c"] == c
 
     def test_concurrent_extension_and_reads(self):
         cantor._reset_state()
@@ -281,14 +294,13 @@ class TestPlacement:
 
         def worker(k):
             # mixed extension orders from many threads must agree
-            return [place_cantor(i) for i in (k % 10, 9 - k % 10, k % 7)]
+            return [placement_record(i) for i in (k % 10, 9 - k % 10, k % 7)]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(worker, range(32)))
         for triple in results:
-            for cs in triple:
-                rec = baseline[cs.index]
-                assert (cs.c, cs.d) == (rec["c"], rec["d"])
+            for rec in triple:
+                assert rec == baseline[rec["index"]]
 
     def test_evaluations_while_the_forest_grows(self):
         # evaluations walk the forest while other threads insert hulls into
@@ -331,24 +343,36 @@ class TestDumpDigests:
 class TestMembership:
     def test_quarter_is_member(self):
         # 1/4 = 0.(02) in base 3
-        assert cantor_member(F(1, 4), UNIT)
+        assert _unit_digits(F(1, 4)) == (b"", bytes([0, 2]))
 
     def test_half_is_not(self):
-        assert not cantor_member(F(1, 2), UNIT)
+        assert _unit_digits(F(1, 2)) is None
 
     def test_third_uses_alternative_representation(self):
-        assert cantor_member(F(1, 3), UNIT)
+        # 1/3 = 0.1 = 0.0(2)
+        assert _unit_digits(F(1, 3)) == (bytes([0]), bytes([2]))
 
     def test_endpoints(self):
-        assert cantor_member(F(0), UNIT)
-        assert cantor_member(F(1), UNIT)
-        assert not cantor_member(F(-1, 10), UNIT)
-        assert not cantor_member(F(11, 10), UNIT)
+        assert _unit_digits(F(0)) == (b"", b"")
+        assert _unit_digits(F(1)) == (b"", bytes([2]))
+        assert _unit_digits(F(-1, 10)) is None
+        assert _unit_digits(F(11, 10)) is None
 
     def test_affine_transport(self):
-        cs = AffineCantor(0, F(2), F(5))
-        assert cantor_member(F(2) + F(3, 4), cs)  # t = 1/4
-        assert not cantor_member(F(2) + F(3, 2), cs)  # t = 1/2
+        # the first hull placed inside (2, 5): t = 1/4 is a member, whose
+        # bits 0.(01) decode to -4/3; t = 1/2 is not
+        n = next(i for i in range(1000) if 2 <= basis_interval(i)[0] and basis_interval(i)[1] <= 5)
+        rec = placement_record(n)
+        c, w = rec["c"], rec["d"] - rec["c"]
+        assert cantor.evaluate(c + w / 4, n + 1) == (F(-4, 3), n)
+        assert cantor.evaluate(c + w / 2, n + 1) == (F(0), n + 1)
+
+    def test_matches_oracle(self):
+        rng = random.Random(29)
+        points = [F(k, 3**j) for j in range(6) for k in range(3**j + 1)]
+        points += [F(rng.randint(0, d), d) for d in (4, 8, 10, 13, 26, 80, 91, 242) for _ in range(20)]
+        for t in points:
+            assert _unit_digits(t) == _oracle_unit_digits(t), t
 
 
 class TestCodec:
@@ -525,8 +549,8 @@ class TestEvaluate:
         assert (value, upto) == (F(0), 8)
 
     def test_left_endpoint_decodes_to_zero(self):
-        cs = place_cantor(0)
-        assert cantor.evaluate(cs.c, 1) == (F(0), 0)
+        rec = placement_record(0)
+        assert cantor.evaluate(rec["c"], 1) == (F(0), 0)
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):

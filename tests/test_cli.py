@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from wildfuncs import cantor, projections, qspan, ternary
+from wildfuncs import cantor, cli, projections, qspan, ternary
 from wildfuncs.cli import main
 from wildfuncs.exactcore import format_rational, parse_rational
 from wildfuncs.surds import QuadraticSurd, parse_surd
@@ -382,6 +382,31 @@ class TestSample:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("fn, step, count", [
+        ("h", "1/1000000000", "1000000001"),
+        ("quasi:sin+x/2", "1e-300", "9999999999999999038"),
+    ])
+    def test_row_cap_refused_at_once(self, capsys, tmp_path, fn, step, count):
+        # the rows are counted before any is evaluated; both ran until killed
+        out_file = tmp_path / "s.csv"
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "sample", "--fn", fn,
+            "--from", "0", "--to", "1", "--step", step, "--out", str(out_file),
+        )
+        assert time.perf_counter() - t0 < 3
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: too many rows: {count}") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_row_cap_boundary(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLE_ROWS", 5)
+        out_file = tmp_path / "h.csv"
+        argv = ["sample", "--fn", "h", "--from", "0", "--to", "1", "--out", str(out_file)]
+        assert run(capsys, *argv, "--step", "1/4") == (0, f"wrote 5 rows to {out_file}\n", "")
+        code, _, err = run(capsys, *argv, "--step", "1/5")
+        assert code == 2 and err == "error: too many rows: 6, at most 5\n"
 
     def test_bad_range(self, capsys, tmp_path):
         code, _, err = run(

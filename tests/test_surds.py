@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wildfuncs.qspan import Symbol
 from wildfuncs.surds import (
     EQUAL,
     GREATER,
@@ -11,8 +12,6 @@ from wildfuncs.surds import (
     _int_sign,
     format_surd,
     parse_surd,
-    sqrt2_enclosure,
-    surd_arith,
     surd_compare,
     surd_floor,
     surd_sign,
@@ -164,17 +163,18 @@ class TestIntegerSignOracle:
 
 class TestArith:
     def test_add_cancels(self):
-        assert surd_arith(QuadraticSurd(1, 1), QuadraticSurd(1, -1), "add") == QuadraticSurd(2, 0)
+        assert QuadraticSurd(1, 1) + QuadraticSurd(1, -1) == QuadraticSurd(2, 0)
 
     def test_root_two_squared(self):
-        assert surd_arith(QuadraticSurd(0, 1), QuadraticSurd(0, 1), "mul") == QuadraticSurd(2, 0)
+        assert QuadraticSurd(0, 1) * QuadraticSurd(0, 1) == QuadraticSurd(2, 0)
 
     def test_conjugate_product(self):
-        assert surd_arith(QuadraticSurd(1, 1), QuadraticSurd(1, -1), "mul") == QuadraticSurd(-1, 0)
+        assert QuadraticSurd(1, 1) * QuadraticSurd(1, -1) == QuadraticSurd(-1, 0)
 
     def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            surd_arith(QuadraticSurd(1, 0), QuadraticSurd(1, 0), "div")
+        # the field operations are +, - and *; there is no division
+        with pytest.raises(TypeError):
+            QuadraticSurd(1, 0) / QuadraticSurd(1, 0)
 
 
 class TestFloor:
@@ -196,7 +196,7 @@ class TestFloor:
 class TestEnclosure:
     def test_brackets_root_two(self):
         for bits in (4, 16, 64):
-            lo, hi = sqrt2_enclosure(bits)
+            lo, hi = Symbol("sqrt", radicand=2).enclosure(bits)
             assert lo * lo <= 2 < hi * hi
             assert hi - lo == F(1, 2**bits)
 
