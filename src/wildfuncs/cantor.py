@@ -21,6 +21,10 @@ clipped only for the few hulls that hold an endpoint; the widest gap comes
 from walking the visible covers widest first.  Coordinates are integers
 over one denominator; only the chosen hull becomes a Fraction again.
 Evaluation walks the one chain of hulls that hold x.
+
+The enumeration yields integer endpoints, and the `cf` queries compare and
+map on numerators and denominators: the preimage scan cross-multiplies, and
+the hull map and its inverse each build one Fraction, where a value leaves.
 """
 
 from __future__ import annotations
@@ -40,23 +44,25 @@ from .exactcore import _int_from_digits, fraction_value, to_expansion
 
 
 def _intervals():
-    """Basis intervals in enumeration order.
+    """Basis intervals in enumeration order, as (a.num, a.den, b.num, b.den).
 
     Reduced rationals are ordered by (|num| + den, num); for s = 0, 1, ...
     the index pairs (s - j, j), j = 0..s, are scanned and kept when
     left < right.
     """
-    rationals, total = [], 0  # every value with |num| + den <= total
+    rationals, total = [], 0  # every (num, den) with |num| + den <= total
     for s in count():
         while len(rationals) <= s:
             total += 1
             for num in range(1 - total, total):
                 den = total - abs(num)
                 if gcd(num, den) == 1:
-                    rationals.append(Fraction(num, den))
+                    rationals.append((num, den))
         for j in range(s + 1):
-            if rationals[s - j] < rationals[j]:
-                yield rationals[s - j], rationals[j]
+            an, ad = rationals[s - j]
+            bn, bd = rationals[j]
+            if an * bd < bn * ad:
+                yield an, ad, bn, bd
 
 
 class _Level:
@@ -129,7 +135,7 @@ class _Placement:
     def __init__(self):
         self.lock = threading.RLock()
         self.enumeration = _intervals()
-        self.basis: list[tuple[Fraction, Fraction]] = []
+        self.basis: list[tuple[int, int, int, int]] = []  # see _intervals
         self.records: list[dict] = []
         self.den = 1
         self.spans: list[tuple[int, int]] = []  # (c * den, d * den) per hull
@@ -228,7 +234,8 @@ def basis_interval(n: int) -> tuple[Fraction, Fraction]:
         with st.lock:
             while len(st.basis) <= n:
                 st.basis.append(next(st.enumeration))
-    return st.basis[n]
+    an, ad, bn, bd = st.basis[n]
+    return Fraction(an, ad), Fraction(bn, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +366,10 @@ def _place(i: int) -> dict:
     if i != len(st.records):
         raise ValueError("placements are built in index order")
     a, b = basis_interval(i)
-    st.widen(a.denominator, b.denominator)
+    an, ad, bn, bd = st.basis[i]
+    st.widen(ad, bd)
     den = st.den
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    lo, hi = an * (den // ad), bn * (den // bd)
     # the visible width within (a, b), by the least depth that shows it,
     # and the hulls that hold a or b, each with its reach
     widths, edges = defaultdict(int), []
@@ -540,9 +548,13 @@ def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:
     x = Fraction(x)
     ensure_placed(bound)
     st = _state
+    xn, xd = x.numerator, x.denominator
     for i in st.chain(x, bound):
         rec = st.records[i]
-        t = (x - rec["c"]) / (rec["d"] - rec["c"])
+        c, d = rec["c"], rec["d"]
+        cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+        # t = (x - c) / (d - c), over a positive denominator
+        t = Fraction((xn * cd - cn * xd) * dd, xd * (dn * cd - cn * dd))
         digits = _unit_digits(t)
         if digits is not None:
             stream = BitStream(_halved(digits[0]), _halved(digits[1]))
@@ -557,17 +569,24 @@ def preimage(y: Fraction, l: Fraction, r: Fraction) -> tuple[Fraction, int]:
     the search cost grows with the arithmetic complexity of the endpoints.
     """
     y, l, r = Fraction(y), Fraction(l), Fraction(r)
-    if l >= r:
+    ln, ld, rn, rd = l.numerator, l.denominator, r.numerator, r.denominator
+    if ln * rd >= rn * ld:
         raise ValueError("empty interval")
-    n = 0
+    st = _state
+    basis, n = st.basis, 0
     while True:
-        a, b = basis_interval(n)
-        if l < a and b < r:
+        if n == len(basis):
+            basis_interval(n)  # drains the enumeration, under the lock
+        an, ad, bn, bd = basis[n]
+        if ln * ad < an * ld and bn * rd < rn * bd:  # l < a and b < r
             break
         n += 1
     ensure_placed(n + 1)
-    rec = _state.records[n]
+    rec = st.records[n]
     c, d = rec["c"], rec["d"]
+    cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
     stream = encode_value(y)
     t = fraction_value(_doubled(stream.prefix), _doubled(stream.cycle), 3)
-    return c + t * (d - c), n
+    tn, td = t.numerator, t.denominator
+    # x = c + t * (d - c)
+    return Fraction(cn * dd * td + tn * (dn * cd - cn * dd), cd * dd * td), n

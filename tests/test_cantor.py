@@ -9,7 +9,7 @@ from math import isqrt, lcm
 import pytest
 
 from wildfuncs import cantor, cli
-from wildfuncs.exactcore import _int_to_digits, to_expansion
+from wildfuncs.exactcore import _int_to_digits, fraction_value, to_expansion
 from wildfuncs.cantor import (
     BitStream,
     _unit_digits,
@@ -594,6 +594,45 @@ class TestPreimage:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             cantor.preimage(F(1), F(1, 3), F(1, 3))
+
+    def test_least_index_and_hull_map_match_fraction_oracle(self):
+        # 200 seeded intervals: basis intervals with each end kept exactly
+        # (so that interval itself is not inside) or widened by a unit or
+        # by a hair with an 18-digit denominator; integer endpoints; small
+        # rationals around 0, negative ones included; denominators of 10 to
+        # 31 digits
+        rng = random.Random(64)
+        intervals = []
+        for k in range(200):
+            kind = k % 4
+            if kind == 0:
+                a, b = basis_interval(rng.randrange(250))
+                widen = lambda: rng.choice((F(0), F(rng.randint(1, 50), 50), F(1, 10**18 + rng.randrange(10**6))))
+                intervals.append((a - widen(), b + widen()))
+            elif kind == 1:
+                l = rng.randint(-2, 1)
+                intervals.append((F(l), F(rng.randint(l + 1, 2))))
+            elif kind == 2:
+                l = F(rng.randint(-24, 12), rng.randint(12, 24))
+                intervals.append((l, l + F(rng.randint(6, 24), 12)))
+            else:
+                q = 10 ** rng.randint(9, 30) + rng.randrange(1000)
+                l = F(rng.randint(-2 * q, q), q)
+                intervals.append((l, l + F(rng.randint(q // 2, 2 * q), q)))
+        for l, r in intervals:
+            want = 0
+            while not (l < basis_interval(want)[0] and basis_interval(want)[1] < r):
+                want += 1
+            y = F(rng.randint(-300, 300), rng.randint(1, 64))
+            x, n = cantor.preimage(y, l, r)
+            assert n == want, (l, r)
+            rec = placement_record(n)
+            c, d = rec["c"], rec["d"]
+            bits = encode_value(y)
+            t = fraction_value(bits.prefix.replace(b"\x01", b"\x02"), bits.cycle.replace(b"\x01", b"\x02"), 3)
+            assert x == c + t * (d - c), (l, r, y)
+            assert l < x < r
+            assert cantor.evaluate(x, n + 1) == (y, n)
 
     def test_randomized_round_trip(self):
         rng = random.Random(62)
