@@ -37,7 +37,16 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .exactcore import _int_from_digits, fraction_value, to_expansion
+from .exactcore import (
+    CycleReader,
+    DigitExpansion,
+    _divide,
+    _int_from_digits,
+    _multiplicative_order,
+    _strip_base,
+    fraction_value,
+    to_expansion,
+)
 
 # ---------------------------------------------------------------------------
 # enumeration of rationals and of basis intervals
@@ -437,19 +446,43 @@ def _unit_digits(t: Fraction) -> tuple[bytes, bytes] | None:
     """Ternary digits of t using only 0s and 2s, or None when t is not in
     the unit Cantor set (so also when t lies outside [0, 1]).
 
+    The answer is None at the first digit 1: the cycle is read in the cycle
+    reader's growing blocks, and the order search runs only when the prefix
+    and the first block hold no 1.  A member keeps the blocks it read, cut
+    at the order, as its cycle, checked as a canonical `DigitExpansion`.
+
     Terminating expansions are also checked in their trailing-2 alternative
     form, so endpoints such as 1/3 = 0.0(2) count as members.
     """
-    if t == 1:
+    num, den = t.numerator, t.denominator
+    if num == den:
         return b"", bytes([2])
-    e = to_expansion(t, 3)
-    if e.sign < 0 or e.integer_digits:
+    if not 0 <= num < den:
         return None
-    if 1 not in e.prefix and 1 not in e.cycle:
-        return e.prefix, e.cycle
-    if not e.cycle and e.prefix[-1] == 1 and 1 not in e.prefix[:-1]:
-        return e.prefix[:-1] + b"\x00", bytes([2])
-    return None
+    pre, m = _strip_base(den, 3)
+    if m == 1:
+        prefix = to_expansion(t, 3).prefix
+        if 1 not in prefix:
+            return prefix, b""
+        if prefix.index(1) == len(prefix) - 1:
+            return prefix[:-1] + b"\x00", bytes([2])
+        return None
+    prefix = _divide(num, den, 3, pre)[0]
+    if 1 in prefix:
+        return None
+    reader = CycleReader(num % m, m, 3)
+    cycle = reader.block()
+    if 1 in cycle:
+        return None
+    n = _multiplicative_order(3, m)
+    cycle = cycle[:n]
+    while reader.read < n:
+        block = reader.block(n)
+        if 1 in block:
+            return None
+        cycle += block
+    e = DigitExpansion(3, 1, b"", prefix, cycle)
+    return e.prefix, e.cycle
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,64 @@ def _divide(r: int, m: int, base: int, count: int) -> tuple[bytes, int]:
     return bytes(digits), r
 
 
+# The cycle reader's first block is _FIRST_BLOCK digits, one ten-digit
+# divmod in base 3; the blocks after it are the powers of _BLOCK_GROWTH (64,
+# 4096, 2**18, ...).  A digit that turns up early costs one short division,
+# and a long read takes a few calls of _divide, the longer ones in packed
+# lanes.
+_FIRST_BLOCK = 10
+_BLOCK_GROWTH = 64
+
+
+class CycleReader:
+    """Streams the digits of r/m, 0 <= r < m, in blocks of growing length.
+
+    For m coprime to the base, r/m is purely periodic, so each digit read is
+    a cycle digit.  Every block continues from the remainder `_divide` left
+    after the block before: the blocks read so far, joined, are the first
+    `read` digits of r/m, and `r` is the remainder after them.  Callers stop
+    at the digit they look for, so a long cycle is read only as far as it
+    has to be.  This is the one place where digits past a prefix are
+    streamed, so a digit limit or a count of digits read belongs here.
+    """
+
+    __slots__ = ("r", "m", "base", "read", "_size")
+
+    def __init__(self, r: int, m: int, base: int) -> None:
+        self.r, self.m, self.base = r, m, base
+        self.read = 0
+        self._size = _FIRST_BLOCK
+
+    def block(self, stop: int | None = None) -> bytes:
+        """The next block, cut short where `stop` digits have been read in
+        all; a caller reads while `read < stop`."""
+        count = self._size
+        if stop is not None and stop - self.read < count:
+            count = stop - self.read
+        block, self.r = _divide(self.r, self.m, self.base, count)
+        self.read += count
+        self._size = _BLOCK_GROWTH * (self._size if self._size >= _BLOCK_GROWTH else 1)
+        return block
+
+
+def cycle_lead(x: Fraction, base: int) -> CycleReader | None:
+    """A reader of the cycle of frac(x) from past its leading zeros, or None
+    when x terminates.
+
+    Past the prefix, frac(x) continues as r/m with m = den / base**k coprime
+    to the base.  For m > 1 that tail is purely periodic, so each of its
+    digits is a cycle digit.  r * 3**z < m gives z leading zeros in base 3,
+    and at least as many in base 2.  The bit lengths bound z from below
+    (log_3(2) > 10/16), and the reader starts at r * base**z, past them.
+    """
+    m = _strip_base(x.denominator, base)[1]
+    if m == 1:
+        return None
+    r = x.numerator % m
+    z = max(0, (m.bit_length() - r.bit_length() - 1) * 10 // 16)
+    return CycleReader(r * base**z, m, base)
+
+
 # The order search starts with a table of _ORDER_START baby steps.  While the
 # table holds fewer than _ORDER_WIDE entries a round takes half as many giant
 # steps as it has entries, from then on four times as many; then the table

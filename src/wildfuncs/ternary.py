@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .exactcore import (
     DigitExpansion,
-    _divide,
     _int_from_digits,
-    _strip_base,
+    cycle_lead,
     cylinder_for_interval,
     fraction_value,
     to_expansion,
@@ -26,31 +25,15 @@ from .exactcore import (
 
 _TWO = 2
 
-# Digits of the cycle read by _lead_has_two before the whole expansion is
-# built; a 2 among them decides the value.
+# Digits of the cycle of frac(x) read, past its leading zeros, before the
+# whole expansion is built.  The cycle is purely periodic, so a 2 among them
+# means infinitely many 2s and decides the value.
 _LEAD_DIGITS = 64
 
 
 def _fractional_expansion(x: Fraction) -> DigitExpansion:
     num, den = x.numerator, x.denominator
     return to_expansion(x if 0 <= num < den else Fraction(num % den, den), 3)
-
-
-def _lead_has_two(x: Fraction) -> bool:
-    """True when a short lead of the cycle of frac(x) holds a 2.
-
-    Past the prefix, frac(x) continues as r/m with m = den / 3**k coprime
-    to 3.  For m > 1 that tail is purely periodic, so each of its digits is
-    a cycle digit, and a 2 there means infinitely many 2s.  The lead starts
-    past the tail's leading zeros: r * 3**z < m gives z of them, and the
-    bit lengths bound z from below (log_3(2) > 10/16).
-    """
-    m = _strip_base(x.denominator, 3)[1]
-    if m == 1:
-        return False  # terminating: no cycle
-    r = x.numerator % m
-    z = max(0, (m.bit_length() - r.bit_length() - 1) * 10 // 16)
-    return _TWO in _divide(r * 3**z, m, 3, _LEAD_DIGITS)[0]
 
 
 def _locate_last_two(e: DigitExpansion) -> tuple[int, int] | None:
@@ -79,8 +62,11 @@ def _binary_tail(x: Fraction) -> tuple[bytes, Fraction] | None:
     """_read_tail for frac(x), after the lead check."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    if _lead_has_two(x):
-        return None
+    lead = cycle_lead(x, 3)
+    if lead is not None:
+        while lead.read < _LEAD_DIGITS:
+            if _TWO in lead.block(_LEAD_DIGITS):
+                return None
     e = _fractional_expansion(x)
     return _read_tail(e, _locate_last_two(e))
 

@@ -11,6 +11,7 @@ import pytest
 from wildfuncs import cantor, cli
 from wildfuncs.exactcore import _int_to_digits, fraction_value, to_expansion
 from wildfuncs.cantor import (
+    _DOUBLE,
     BitStream,
     _unit_digits,
     basis_interval,
@@ -369,10 +370,61 @@ class TestMembership:
 
     def test_matches_oracle(self):
         rng = random.Random(29)
+        # terminating points, the endpoints 0 and 1 and 1/3 = 0.0(2) among them
         points = [F(k, 3**j) for j in range(6) for k in range(3**j + 1)]
         points += [F(rng.randint(0, d), d) for d in (4, 8, 10, 13, 26, 80, 91, 242) for _ in range(20)]
-        for t in points:
+        # members whose 0/2 cycles run past the reader's first block, up to
+        # past its third (blocks end at 10, 74 and 4170 digits)
+        members = []
+        for n in (11, 12, 40, 73, 74, 75, 76, 200, 4169, 4170, 4171, 4500):
+            bits = bytes(rng.randrange(2) for _ in range(n - 1)) + b"\x01"
+            prefix = bytes(2 * rng.randrange(2) for _ in range(rng.randrange(4)))
+            members.append(fraction_value(prefix, bits.translate(_DOUBLE), 3))
+        # non-members whose first 1 is the last digit of a block, the first of
+        # the next or the one after; with no prefix, the cycle starts the read
+        others = []
+        for end in (10, 74, 4170):
+            for p in (end - 1, end, end + 1):
+                head = bytes(2 * rng.randrange(2) for _ in range(p))
+                cycle = head + b"\x01" + bytes(2 * rng.randrange(2) for _ in range(9))
+                others.append(fraction_value(b"", cycle, 3))
+                assert to_expansion(others[-1], 3).cycle.find(1) == p
+            others.append(fraction_value(bytes([2, 1, 2]), head, 3))  # a 1 in the prefix
+        assert all(_oracle_unit_digits(t) is not None for t in members)
+        assert all(_oracle_unit_digits(t) is None for t in others)
+        for t in points + members + others:
             assert _unit_digits(t) == _oracle_unit_digits(t), t
+
+    def test_points_beside_hulls_118_and_122(self, monkeypatch):
+        # c - u and d + u, u = 1/(c.den * d.den * 3**20), for these two hulls
+        # lie in hulls 89 and 90, where t has a prefix of 22 digits and a
+        # cycle of 45481984 and 8733065216 digits; a full expansion took over
+        # a second for hull 118 and ran out of memory for hull 122
+        seen = []
+
+        def recorded(t):
+            seen.append((t, _unit_digits(t)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cantor, "_unit_digits", recorded)
+        for k in (118, 122):
+            rec = placement_record(k)
+            c, d = rec["c"], rec["d"]
+            u = F(1, c.denominator * d.denominator * 3**20)
+            for x in (c - u, d + u):
+                seen.clear()
+                start = time.process_time()
+                assert cantor.evaluate(x, 160) == (F(0), 160)
+                assert time.process_time() - start < 1, (k, x)
+                assert seen
+                for t, digits in seen:
+                    # one digit per divmod, up to the first 1
+                    num, den = t.numerator, t.denominator
+                    for _ in range(64):
+                        q, num = divmod(3 * num, den)
+                        if q == 1:
+                            break
+                    assert q == 1 and num and digits is None, (k, x, t)
 
 
 class TestCodec:

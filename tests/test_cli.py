@@ -153,6 +153,15 @@ class TestEval:
             code, out, _ = run(capsys, "eval", "--fn", fn, "--x", x)
             assert code == 0 and out.strip() == "0"
 
+    def test_cf_runaway_cycle_decided_at_first_one(self, capsys):
+        # x lies in hull 3, where t has a base-3 cycle of about 5*10**8
+        # digits whose first digit is a 1; the whole cycle took 11 s and
+        # 1.45 GB to build
+        start = time.process_time()
+        code, out, _ = run(capsys, "eval", "--fn", "cf", "--x", "1/1000000007", "--max-index", "8")
+        assert time.process_time() - start < 1
+        assert code == 0 and out.splitlines() == ["0", "verified_up_to: 8"]
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "h", "--x", "not-a-number")
         assert code == 2 and "error:" in err

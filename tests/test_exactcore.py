@@ -337,11 +337,11 @@ class TestRoundTrip:
                     assert (e.prefix, e.cycle) == _long_division(x, base)
 
 
-def _divide_by_digit(r, m, count):
-    # one base-3 digit per divmod
+def _divide_by_digit(r, m, count, base=3):
+    # one digit per divmod
     digits = bytearray()
     for _ in range(count):
-        q, r = divmod(3 * r, m)
+        q, r = divmod(base * r, m)
         digits.append(q)
     return bytes(digits), r
 
@@ -404,6 +404,75 @@ class TestDivideLoop:
                     for count in (low, low + 1, low + 4, low + 9, 4567, 10001):
                         got = exactcore._divide(r, m, 3, count)
                         assert got == _divide_by_digit(r, m, count), (bits, m, r, count)
+
+
+# where the cycle reader's blocks end: 10 digits, then 64, 4096 and 2**18 more
+_BLOCK_ENDS = (10, 74, 4170, 266314)
+
+
+def _block_sizes(stop):
+    ends = [0] + [e for e in _BLOCK_ENDS if e < stop] + [stop]
+    return [b - a for a, b in zip(ends, ends[1:])]
+
+
+def _coprime_modulus(rng, bits, base):
+    # a modulus of exactly `bits` bits with no factor of the base
+    m = rng.randrange(2 ** (bits - 1), 2**bits - 1)
+    return m if m % base else m + 1
+
+
+class TestCycleReader:
+    # the blocks, joined, against one digit per divmod and one _divide call,
+    # with stops on each side of every block boundary
+
+    def check(self, r, m, base, stop, want):
+        reader = exactcore.CycleReader(r, m, base)
+        blocks = []
+        while reader.read < stop:
+            blocks.append(reader.block(stop))
+        assert [len(b) for b in blocks] == _block_sizes(stop), (m, r, stop)
+        assert b"".join(blocks) == want[:stop], (base, m, r, stop)
+        assert reader.read == stop and reader.r == r * pow(base, stop, m) % m
+        assert exactcore._divide(r, m, base, stop) == (want[:stop], reader.r)
+
+    def test_matches_one_digit_per_divmod(self):
+        rng = random.Random(41)
+        stops = [1] + [end + d for end in _BLOCK_ENDS[:3] for d in (-1, 0, 1)]
+        for base in (2, 3):
+            # 20 bits, the lanes' widest modulus, and moduli too wide for them
+            for bits in (20, 64, 65, 100):
+                m = _coprime_modulus(rng, bits, base)
+                for r in (1, m - 1, rng.randrange(m)):
+                    want, _ = _divide_by_digit(r, m, stops[-1], base)
+                    for stop in stops:
+                        self.check(r, m, base, stop, want)
+
+    def test_lane_sized_blocks(self):
+        # the 4096- and 2**18-digit blocks are divided in packed lanes for
+        # moduli of at most 64 bits; stops around the end of the 2**18 block
+        rng = random.Random(42)
+        end = _BLOCK_ENDS[3]
+        for bits in (20, 64, 65):
+            m = _coprime_modulus(rng, bits, 3)
+            r = rng.randrange(m)
+            want, _ = _divide_by_digit(r, m, end + 1)
+            for stop in (end - 1, end, end + 1):
+                self.check(r, m, 3, stop, want)
+
+    def test_first_block_then_stop(self):
+        # an open-ended first block, then blocks up to a stop: the read goes
+        # on from the remainder the first block left
+        rng = random.Random(43)
+        for m in (3**10 + 1, 2**20 + 7, 2**64 - 59, 2**90 + 1):
+            r = rng.randrange(m)
+            want, _ = _divide_by_digit(r, m, 5000)
+            for stop in (3, 10, 11, 74, 75, 4171, 5000):
+                reader = exactcore.CycleReader(r, m, 3)
+                read = reader.block()
+                while reader.read < stop:
+                    read += reader.block(stop)
+                assert read == want[: max(stop, _BLOCK_ENDS[0])], (m, r, stop)
+                assert reader.r == r * pow(3, len(read), m) % m
 
 
 def _ternary_loop(n):

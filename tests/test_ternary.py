@@ -69,10 +69,22 @@ class TestEvaluate:
 class TestCycleLead:
     """The lead check agrees with the full rule, decided or not."""
 
+    @pytest.fixture(autouse=True)
+    def count_expansions(self, monkeypatch):
+        self.expansions = 0
+
+        def counted(x, base):
+            self.expansions += 1
+            return to_expansion(x, base)
+
+        monkeypatch.setattr(ternary, "to_expansion", counted)
+
     def check(self, x: F) -> bool:
+        """True when the lead decided x: neither map built its expansion."""
+        before = self.expansions
         assert ternary.evaluate(x) == full_rule(x), x
         assert ternary.evaluate_signed(x) == full_rule(x, True), x
-        return ternary._lead_has_two(x)
+        return self.expansions == before
 
     def test_criterion_1_style_rationals(self):
         rng = random.Random(61)
