@@ -446,13 +446,13 @@ def _unit_digits(t: Fraction) -> tuple[bytes, bytes] | None:
     """Ternary digits of t using only 0s and 2s, or None when t is not in
     the unit Cantor set (so also when t lies outside [0, 1]).
 
-    The answer is None at the first digit 1: the cycle is read in the cycle
-    reader's growing blocks, and the order search runs only when the prefix
-    and the first block hold no 1.  A member keeps the blocks it read, cut
-    at the order, as its cycle, checked as a canonical `DigitExpansion`.
-
-    Terminating expansions are also checked in their trailing-2 alternative
-    form, so endpoints such as 1/3 = 0.0(2) count as members.
+    One division gives the prefix, for terminating and periodic t alike, and
+    a 1 in it answers None at once, except where t terminates and its only 1
+    is its last digit: that endpoint, such as 1/3 = 0.1, is read as 0.0(2).
+    A periodic t streams its cycle in the cycle reader's growing blocks, None
+    at the first 1; the order search runs only when the prefix and the first
+    block hold no 1, and the blocks read, cut at the order, are the cycle.
+    Every other member is checked once as a canonical `DigitExpansion`.
     """
     num, den = t.numerator, t.denominator
     if num == den:
@@ -460,27 +460,24 @@ def _unit_digits(t: Fraction) -> tuple[bytes, bytes] | None:
     if not 0 <= num < den:
         return None
     pre, m = _strip_base(den, 3)
-    if m == 1:
-        prefix = to_expansion(t, 3).prefix
-        if 1 not in prefix:
-            return prefix, b""
-        if prefix.index(1) == len(prefix) - 1:
-            return prefix[:-1] + b"\x00", bytes([2])
-        return None
     prefix = _divide(num, den, 3, pre)[0]
     if 1 in prefix:
+        if m == 1 and prefix.index(1) == pre - 1:
+            return prefix[:-1] + b"\x00", bytes([2])
         return None
-    reader = CycleReader(num % m, m, 3)
-    cycle = reader.block()
-    if 1 in cycle:
-        return None
-    n = _multiplicative_order(3, m)
-    cycle = cycle[:n]
-    while reader.read < n:
-        block = reader.block(n)
-        if 1 in block:
+    cycle = b""
+    if m > 1:
+        reader = CycleReader(num % m, m, 3)
+        cycle = reader.block()
+        if 1 in cycle:
             return None
-        cycle += block
+        n = _multiplicative_order(3, m)
+        cycle = cycle[:n]
+        while reader.read < n:
+            block = reader.block(n)
+            if 1 in block:
+                return None
+            cycle += block
     e = DigitExpansion(3, 1, b"", prefix, cycle)
     return e.prefix, e.cycle
 
@@ -516,21 +513,20 @@ def _head(s: BitStream, n: int) -> bytes:
 def decode_bits(s: BitStream) -> Fraction:
     """Decode: sign bit (1 -> +), unary run of 1s giving the integer digit
     count, that many integer bits, then binary fraction bits.  A stream whose
-    unary run never terminates decodes to 0."""
+    unary run never terminates decodes to 0.
+
+    The run ends at the first 0 past the sign bit.  Past the prefix the
+    bits repeat the cycle, or are all 0 when there is none, so that 0, if
+    there is one, lies among the first p + c + 2 bits; the 2 covers an
+    empty prefix, whose sign bit is the first bit of the cycle or a 0.
+    """
     prefix, cycle = s.prefix, s.cycle
     p, c = len(prefix), len(cycle)
-    # z: where the unary run ends, the first 0 past the sign bit
     z = prefix.find(0, 1)
     if z < 0:
-        if not cycle:
-            z = max(p, 1)
-        elif 0 not in cycle:
+        z = _head(s, p + c + 2).find(0, 1)
+        if z < 0:
             return Fraction(0)  # the run never ends
-        elif p:
-            z = p + cycle.find(0)
-        else:  # the sign bit is the cycle's first bit
-            j = cycle.find(0, 1)
-            z = j if j >= 0 else c
     # z - 1 integer bits follow the 0, and the fraction bits start at 2z
     head = _head(s, 2 * z)
     ipart = _int_from_digits(head[z + 1 :], 2)
@@ -565,20 +561,11 @@ _HALVE = bytes.maketrans(b"\x02", b"\x01")
 _DOUBLE = bytes.maketrans(b"\x01", b"\x02")
 
 
-def _halved(digits: bytes) -> bytes:
-    return digits.translate(_HALVE)
-
-
-def _doubled(bits: bytes) -> bytes:
-    return bits.translate(_DOUBLE)
-
-
 def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:
     """(value, i) if x lies in the i-th Cantor set for some i < bound, else
     (0, bound), meaning 0 unless x lies in a set of index >= bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    x = Fraction(x)
     ensure_placed(bound)
     st = _state
     xn, xd = x.numerator, x.denominator
@@ -590,7 +577,7 @@ def evaluate(x: Fraction, bound: int) -> tuple[Fraction, int]:
         t = Fraction((xn * cd - cn * xd) * dd, xd * (dn * cd - cn * dd))
         digits = _unit_digits(t)
         if digits is not None:
-            stream = BitStream(_halved(digits[0]), _halved(digits[1]))
+            stream = BitStream(digits[0].translate(_HALVE), digits[1].translate(_HALVE))
             return decode_bits(stream), i
     return Fraction(0), bound
 
@@ -601,7 +588,6 @@ def preimage(y: Fraction, l: Fraction, r: Fraction) -> tuple[Fraction, int]:
     n is the least index whose closed basis interval sits inside (l, r);
     the search cost grows with the arithmetic complexity of the endpoints.
     """
-    y, l, r = Fraction(y), Fraction(l), Fraction(r)
     ln, ld, rn, rd = l.numerator, l.denominator, r.numerator, r.denominator
     if ln * rd >= rn * ld:
         raise ValueError("empty interval")
@@ -619,7 +605,7 @@ def preimage(y: Fraction, l: Fraction, r: Fraction) -> tuple[Fraction, int]:
     c, d = rec["c"], rec["d"]
     cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
     stream = encode_value(y)
-    t = fraction_value(_doubled(stream.prefix), _doubled(stream.cycle), 3)
+    t = fraction_value(stream.prefix.translate(_DOUBLE), stream.cycle.translate(_DOUBLE), 3)
     tn, td = t.numerator, t.denominator
     # x = c + t * (d - c)
     return Fraction(cn * dd * td + tn * (dn * cd - cn * dd), cd * dd * td), n

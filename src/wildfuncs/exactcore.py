@@ -63,32 +63,20 @@ def _check_base(base: int) -> None:
 # digit rendering helpers (bytes hold one digit value per byte, MSB first)
 
 # Base 3 is divided ten digits per divmod, and each quotient is rendered as
-# two five-digit groups from one 243-entry table.
+# two five-digit groups from one table: entry v holds the five base-3 digits
+# of v < 3**5.
 _CHUNK = 10
 _CHUNK_POW = 3**_CHUNK
-_GROUP_TABLE: list[bytes] = []
-
-
-def _group_table() -> list[bytes]:
-    # 3**5 entries of five digit bytes each
-    if not _GROUP_TABLE:
-        for v in range(243):
-            out = bytearray(5)
-            for i in range(4, -1, -1):
-                v, out[i] = divmod(v, 3)
-            _GROUP_TABLE.append(bytes(out))
-    return _GROUP_TABLE
-
+_GROUPS = [bytes((v // 81, v // 27 % 3, v // 9 % 3, v // 3 % 3, v % 3)) for v in range(243)]
 
 # Base-3 integers of more than _SPLIT_DIGITS digits are split in halves:
 # int(s, 3) and repeated divmod by 3**10 are both quadratic.
 _SPLIT_DIGITS = 320
-_SPLIT_MIN = 3**_SPLIT_DIGITS
 
 
 def _ternary_chunks(n: int) -> bytes:
     """Base-3 digits of n >= 0, zero-padded to a multiple of ten."""
-    table = _group_table()
+    table = _GROUPS
     parts = []
     while n:
         n, rem = divmod(n, _CHUNK_POW)
@@ -113,8 +101,6 @@ def _int_to_digits(n: int, base: int, width: int = 0) -> bytes:
     """Digits of n >= 0 (none for 0), left-padded with zeros to `width`."""
     if base == 2:
         s = bin(n)[2:].encode("ascii").translate(_ASCII_TO_DIGITS) if n else b""
-    elif n < _SPLIT_MIN:
-        s = _ternary_chunks(n).lstrip(b"\x00")
     else:
         # 3**w > 2**bit_length, as log_3(2) < 0.631
         w = n.bit_length() * 631 // 1000 + 1
@@ -167,17 +153,10 @@ def _prime_factors(n: int) -> list[int]:
 # (0.5x the loop's speed at 200 bits and 3000 digits).
 _LANE_MIN_COUNT = 3000
 _LANE_MAX_BITS = 64
-_SPREAD_TABLES: list[bytes] = []
 
-
-def _spread_tables() -> list[bytes]:
-    # table k maps a base-243 group (one byte) to its k-th base-3 digit,
-    # most significant first
-    if not _SPREAD_TABLES:
-        _SPREAD_TABLES.extend(
-            bytes(v // 3 ** (4 - k) % 3 for v in range(256)) for k in range(5)
-        )
-    return _SPREAD_TABLES
+# table k maps a base-243 group (one byte) to its k-th base-3 digit, most
+# significant first
+_SPREAD = [bytes(_GROUPS[v % 243][k] for v in range(256)) for k in range(5)]
 
 
 def _divide_lanes(r: int, m: int, count: int) -> bytes:
@@ -226,7 +205,7 @@ def _divide_lanes(r: int, m: int, count: int) -> bytes:
         out[i::steps] = q.to_bytes(size, "little")[::w]
     del x, q, carry
     digits = bytearray(5 * len(out))
-    for k, table in enumerate(_spread_tables()):
+    for k, table in enumerate(_SPREAD):
         digits[k::5] = out.translate(table)
     del out
     del digits[count:]
@@ -245,7 +224,7 @@ def _divide(r: int, m: int, base: int, count: int) -> tuple[bytes, int]:
         return _int_to_digits(q, 2, count), r
     if count >= _LANE_MIN_COUNT and m.bit_length() <= _LANE_MAX_BITS:
         return _divide_lanes(r, m, count), r * pow(3, count, m) % m
-    table = _group_table()
+    table = _GROUPS
     full, rest = divmod(count, _CHUNK)
     digits = bytearray()
     for _ in range(full):
@@ -460,20 +439,18 @@ def _strip_base(m: int, base: int) -> tuple[int, int]:
 
 
 def _fraction_digits(num: int, den: int, base: int) -> tuple[bytes, bytes]:
-    """(prefix, cycle) digits of num/den in [0, 1), gcd(num, den) = 1."""
-    if num == 0:
-        return b"", b""
+    """(prefix, cycle) digits of num/den in [0, 1), gcd(num, den) = 1.
+
+    With den = base**pre * m, m coprime to the base, the first pre digits
+    leave the remainder base**pre * (num % m), so the tail is (num % m)/m:
+    reduced, purely periodic, and its cycle is as long as the order of the
+    base mod m.
+    """
     pre, m = _strip_base(den, base)
-    if pre:
-        prefix, r = _divide(num, den, base, pre)
-        if r == 0:
-            return prefix, b""
-        # the tail (r / base**pre) / m is reduced and purely periodic
-        r0 = r // base**pre
-    else:
-        prefix, r0 = b"", num
-    # the cycle of the tail r0/m is as long as the order of base mod m
-    return prefix, _divide(r0, m, base, _multiplicative_order(base, m))[0]
+    prefix = _divide(num, den, base, pre)[0]
+    if m == 1:
+        return prefix, b""
+    return prefix, _divide(num % m, m, base, _multiplicative_order(base, m))[0]
 
 
 def to_expansion(x: Fraction, base: int) -> DigitExpansion:

@@ -12,6 +12,7 @@ explicit undecided outcome for named constants.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -288,13 +289,14 @@ def apply_map(f: AdditiveMap, x: SpanElement) -> SpanElement:
 # exact linear algebra
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot columns, by fraction-free
-    elimination.  Each row is scaled to integers and eliminated as
-    `pv*a - f*b`, then divided by its content, so each row stays a nonzero
-    multiple of the row a Fraction elimination would hold: the zero tests,
-    the pivots and the reduced rows are the same.  Only the pivot rows
-    become Fractions again, divided by their pivot."""
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of the reduced row echelon form, as integer rows, and
+    the pivot columns, by fraction-free elimination.  Each row is scaled to
+    integers and eliminated as `pv*a - f*b`, then divided by its content,
+    so each row stays a nonzero multiple of the row a Fraction elimination
+    would hold: the zero tests and the pivots are the same, and entry c of
+    the i-th reduced row is `Fraction(row[c], row[pivots[i]])`.  The zero
+    rows are left out."""
     m = []
     for r in rows:
         den = lcm(*(v.denominator for v in r))
@@ -320,10 +322,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         row += 1
         if row == nrows:
             break
-    zero = Fraction(0)
-    reduced = [[Fraction(v, r[pc]) for v in r] for r, pc in zip(m, pivots)]
-    reduced += [[zero] * ncols for _ in range(nrows - len(pivots))]
-    return reduced, pivots
+    return m[: len(pivots)], pivots
 
 
 def rank(f: AdditiveMap) -> int:
@@ -347,14 +346,14 @@ def rank(f: AdditiveMap) -> int:
 def kernel_basis(f: AdditiveMap) -> list[SpanElement]:
     """Basis of the null space; every member is a period of the map."""
     n = f.basis.dim
-    reduced, pivots = _rref([list(r) for r in f.rows])
+    rows, pivots = _rref(f.rows)
     free = [c for c in range(n) if c not in pivots]
     out = []
     for fc in free:
         coords = [Fraction(0)] * n
         coords[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            coords[pc] = -reduced[row_idx][fc]
+        for row, pc in zip(rows, pivots):
+            coords[pc] = Fraction(-row[fc], row[pc])
         out.append(SpanElement(f.basis, tuple(coords)))
     return out
 
@@ -370,12 +369,12 @@ def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
         raise ValueError("basis mismatch")
     n = f.basis.dim
     augmented = [list(row) + [y.coords[i]] for i, row in enumerate(f.rows)]
-    reduced, pivots = _rref(augmented)
+    rows, pivots = _rref(augmented)
     if n in pivots:
         return None
     coords = [Fraction(0)] * n
-    for row_idx, pc in enumerate(pivots):
-        coords[pc] = reduced[row_idx][n]
+    for row, pc in zip(rows, pivots):
+        coords[pc] = Fraction(row[n], row[pc])
     return SpanElement(f.basis, tuple(coords))
 
 

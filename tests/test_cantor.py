@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 import time
@@ -371,7 +372,11 @@ class TestMembership:
     def test_matches_oracle(self):
         rng = random.Random(29)
         # terminating points, the endpoints 0 and 1 and 1/3 = 0.0(2) among them
-        points = [F(k, 3**j) for j in range(6) for k in range(3**j + 1)]
+        points = [F(k, 3**j) for j in range(7) for k in range(3**j + 1)]
+        # periodic points with no prefix (j = 0) and with one, some of whose
+        # prefixes end in their only 1, which only a terminating point reads
+        # as an endpoint
+        points += [F(k, 3**j * m) for m in (4, 8, 13) for j in range(4) for k in range(3**j * m)]
         points += [F(rng.randint(0, d), d) for d in (4, 8, 10, 13, 26, 80, 91, 242) for _ in range(20)]
         # members whose 0/2 cycles run past the reader's first block, up to
         # past its third (blocks end at 10, 74 and 4170 digits)
@@ -527,12 +532,23 @@ class TestCodec:
                     assert got == self._decode_oracle(prefix, cycle)
 
     def test_decode_random_streams(self):
-        # short random prefixes and cycles: the header and the fraction may
-        # each end in the prefix or in the cycle, and either may be empty
+        # every stream of at most 7 prefix bits and 5 cycle bits, then short
+        # random ones: the header and the fraction may each end in the prefix
+        # or in the cycle, either may be empty, and the unary run may end at
+        # the cycle's only 0 when it is also the sign bit, in the zeros past
+        # a terminating prefix, or never
+        streams = [
+            (bytes(prefix), bytes(cycle))
+            for p in range(8) for c in range(6)
+            for prefix in itertools.product((0, 1), repeat=p)
+            for cycle in itertools.product((0, 1), repeat=c)
+        ]
         rng = random.Random(91)
         for _ in range(3000):
             prefix = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, 12)))
             cycle = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, 12)))
+            streams.append((prefix, cycle))
+        for prefix, cycle in streams:
             got = decode_bits(BitStream(prefix, cycle))
             assert got == self._decode_oracle(prefix, cycle), (prefix, cycle)
 

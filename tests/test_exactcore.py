@@ -328,13 +328,19 @@ class TestRoundTrip:
             assert from_expansion(e) == x
 
     def test_mixed_powers_of_the_base(self):
-        # every power of the base up to 70, times a coprime part
+        # every power of the base up to 70 (no prefix for k = 0), times a
+        # coprime part; numerators past that part leave a tail other than
+        # the numerator itself
         for base in (2, 3):
             for k in range(71):
                 for rest in (1, 7, 1001):
-                    x = F(1, base**k * rest)
-                    e = to_expansion(x, base)
-                    assert (e.prefix, e.cycle) == _long_division(x, base)
+                    den = base**k * rest
+                    for num in {1, den // 2 + 1, den - 1}:
+                        x = F(num, den)
+                        e = to_expansion(x, base)
+                        assert (e.prefix, e.cycle) == _long_division(x, base)
+                        if num < den and x.denominator == den:
+                            assert exactcore._fraction_digits(num, den, base) == (e.prefix, e.cycle)
 
 
 def _divide_by_digit(r, m, count, base=3):
@@ -501,7 +507,8 @@ class TestIntToDigits:
 
     def test_around_powers_of_three(self):
         # every digit count up to past the second halving, each power of 3
-        # with its neighbours
+        # with its neighbours; from k = 318 to 322 the split's first call
+        # goes from one chunked run to two halves
         t = exactcore._SPLIT_DIGITS
         for k in range(2 * t + 12):
             for n in (3**k - 1, 3**k, 3**k + 1, 2 * 3**k, 2 * 3**k + 1):
