@@ -357,30 +357,20 @@ class _Walk:
         self._segment(children, held, x + 2 * third, w, m - 1, level + 1, 2 * position + 1)
 
 
-def _place(i: int) -> dict:
-    """Hull of the i-th Cantor set, chosen against placements 0..i-1.
+def _covered(st: _Placement, lo: int, hi: int):
+    """The length of (lo, hi) that the depth-k covers of the placed sets
+    hold, over den * 3**k, for k = 0, 1, 2, ... in turn.
 
-    The cover of the earlier sets is refined one depth at a time until it
-    covers less than half of (a, b); the hull is the middle half of its
-    widest gap in (a, b), leftmost on ties, as _clipped_cover would give.
-    At cover depth k a hull is visible when it and every hull around it sit
-    in gaps of level at most k of their parents' covers; any other hull
-    lies inside a segment of a visible cover.  Visible covers are disjoint,
-    so the covered length is (2/3)**k times the summed width of the visible
-    hulls within (a, b), plus the clipped covers of the few visible hulls
-    that hold a or b.  One walk down from the roots that meet (a, b) sums
-    the first by reach and collects the second.
+    At depth k a hull is visible when it and every hull around it sit in
+    gaps of level at most k of their parents' covers; any other hull lies
+    inside a segment of a visible cover.  Visible covers are disjoint, so
+    the covered length is (2/3)**k times the summed width of the visible
+    hulls within (lo, hi), plus the clipped covers of the few visible hulls
+    that hold lo or hi.  One walk down from the roots that meet (lo, hi)
+    sums the first by reach and collects the second, before the first value.
     """
-    st = _state
-    if i != len(st.records):
-        raise ValueError("placements are built in index order")
-    a, b = basis_interval(i)
-    an, ad, bn, bd = st.basis[i]
-    st.widen(ad, bd)
-    den = st.den
-    lo, hi = an * (den // ad), bn * (den // bd)
-    # the visible width within (a, b), by the least depth that shows it,
-    # and the hulls that hold a or b, each with its reach
+    # the visible width within (lo, hi), by the least depth that shows it,
+    # and the hulls that hold lo or hi, each with its reach
     widths, edges = defaultdict(int), []
     stack = [(p, 0) for p in st.roots.meeting(lo, hi)]
     while stack:
@@ -392,16 +382,35 @@ def _place(i: int) -> dict:
         else:
             edges.append((c, d - c, v))
             stack.extend((ch, max(v, st.gaps[ch][0])) for ch in st.children[p].meeting(lo, hi))
-    depth, inside = 0, 0
-    while True:
-        s = 3**depth
-        inside += widths[depth]
-        covered = (inside << depth) + sum(
-            _covered_in(c * s, w, depth, lo * s, hi * s) for c, w, v in edges if v <= depth
+    inside = 0
+    for k in count():
+        s = 3**k
+        inside += widths[k]
+        yield (inside << k) + sum(
+            _covered_in(c * s, w, k, lo * s, hi * s) for c, w, v in edges if v <= k
         )
-        if 2 * covered < s * (hi - lo):
+
+
+def _place(i: int) -> dict:
+    """Hull of the i-th Cantor set, chosen against placements 0..i-1.
+
+    The cover of the earlier sets is refined one depth at a time until it
+    covers less than half of (a, b) (see _covered); the hull is the middle
+    half of its widest gap in (a, b), leftmost on ties, as _clipped_cover
+    would give.
+    """
+    st = _state
+    if i != len(st.records):
+        raise ValueError("placements are built in index order")
+    a, b = basis_interval(i)
+    an, ad, bn, bd = st.basis[i]
+    st.widen(ad, bd)
+    den = st.den
+    lo, hi = an * (den // ad), bn * (den // bd)
+    for depth, covered in enumerate(_covered(st, lo, hi)):
+        if 2 * covered < 3**depth * (hi - lo):
             break
-        depth += 1
+    s = 3**depth
     walk = _Walk(st, depth, lo * s, hi * s)
     walk.region(st.roots, 0, len(st.roots.ids), lo * s, hi * s)
     width, neg = walk.best

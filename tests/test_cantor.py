@@ -274,6 +274,41 @@ class TestPlacement:
             assert F(cell, 3**level) < tc and td < F(cell + 1, 3**level), (p, i)
             assert level <= recs[i]["depth"], (p, i)
 
+    @staticmethod
+    def _check_covered(i):
+        # before placement i: the covered length at every depth _place
+        # tries, and one past the depth it chooses, against the length of
+        # the merged Fraction covers of every earlier set within (a, b)
+        st = cantor._state
+        assert len(st.records) == i
+        a, b = basis_interval(i)
+        st.widen(a.denominator, b.denominator)
+        lo, hi = a.numerator * (st.den // a.denominator), b.numerator * (st.den // b.denominator)
+        lengths, depth, past = cantor._covered(st, lo, hi), 0, 0
+        while past < 2:
+            segments = sorted(
+                seg for rec in st.records for seg in cantor._clipped_cover(rec["c"], rec["d"], a, b, depth)
+            )
+            union, end = F(0), a
+            for s, e in segments:
+                s, e = max(s, end), min(e, b)
+                if e > s:
+                    union, end = union + (e - s), e
+            assert F(next(lengths), st.den * 3**depth) == union, (i, depth)
+            if past or 2 * union < b - a:
+                chosen = chosen if past else depth
+                past += 1
+            depth += 1
+        assert placement_record(i)["depth"] == chosen
+
+    def test_covered_length_matches_merged_fraction_covers(self):
+        cantor._reset_state()
+        for i in range(300):
+            self._check_covered(i)
+        cantor.ensure_placed(2000)
+        for i in range(2000, 2008):
+            self._check_covered(i)
+
     def test_placement_scales(self):
         # placing 0..399 took 12 s when every depth rescanned every earlier
         # set in Fractions; integer refinement takes under a second
