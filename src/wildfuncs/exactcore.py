@@ -218,7 +218,11 @@ def _divide(r: int, m: int, base: int, count: int) -> tuple[bytes, int]:
     Base 2 divides once, shifted by `count` bits.  Base 3 runs long enough
     for a small m go through `_divide_lanes`; the rest take ten digits per
     divmod and append them as two groups from the group table as they go.
+    No digits need no division: `_fraction_digits` asks for none whenever
+    the denominator is coprime to the base.
     """
+    if not count:
+        return b"", r
     if base == 2:
         q, r = divmod(r << count, m)
         return _int_to_digits(q, 2, count), r

@@ -376,6 +376,15 @@ class TestDumpDigests:
         assert cli.main(["cantor", "--max-index", str(count)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_index_12844(self, capsys):
+        # the record of the least index inside (1/5, 1/4), as `cantor`
+        # prints it, taken when placing up to it took 12 s
+        assert cli.main(["cantor", "--max-index", "12845"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1] + "\n"
+        digest = "6c7c84b501a1f4d4e4d24978b0c3e58407d33aafa3787e32ec766e7fd285721b"
+        assert hashlib.sha256(last.encode()).hexdigest() == digest
+        assert cantor.preimage(F(1, 2), F(1, 5), F(1, 4)) == (F(166873, 746496), 12844)
+
 
 class TestMembership:
     def test_quarter_is_member(self):

@@ -400,6 +400,14 @@ class TestDivideLoop:
                 got = exactcore._divide(r, m, 3, count)
                 assert got == (want[:count], r * pow(3, count, m) % m), (m, r, count)
 
+    def test_zero_digits(self):
+        # no digits, no division: the remainder comes back as it went in
+        rng = random.Random(33)
+        for base in (2, 3):
+            for m in (1, 2, 3, 7, 3**10 + 1, rng.randrange(2**40, 2**64), 2**80 + 3):
+                for r in {0, m - 1, rng.randrange(m)}:
+                    assert exactcore._divide(r, m, base, 0) == (b"", r)
+
     def test_wide_moduli(self):
         # counts at and past the lane cutoff, with m too wide for the lanes
         rng = random.Random(32)
