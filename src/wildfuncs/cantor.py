@@ -162,8 +162,8 @@ class _Level:
     def split(self, gap: tuple[int, int], x: int) -> None:
         """A new hull that starts at x landed in gap: where it splits that
         gap's widest free interval, that changes."""
-        known = self.gapwidest.get(gap, {})
-        for k, (width, neg) in list(known.items()):
+        known = self.gapwidest.get(gap)
+        for k, (width, neg) in list(known.items()) if known else ():
             if -neg < x * 3**k < width - neg:
                 del known[k]
 
@@ -509,17 +509,18 @@ class _Walk:
         # the pieces between the hulls, and the free intervals inside all
         # but the first and the last when it holds hi, come from the level's
         # blocks; those two are looked at alone
-        alone = [j0]
+        alone = [(ends[j0] - starts[j0], -2 * starts[j0] - ends[j0], j0)]
         if j1 - 1 > j0 and ends[j1 - 1] * s > hi:
             j1 -= 1
-            alone.append(j1)
+            alone.append((ends[j1] - starts[j1], -2 * starts[j1] - ends[j1], j1))
+            alone.sort(reverse=True)
             self.offer(ends[j1 - 1] * s, starts[j1] * s)
-        self.best = level.top(st, k, j0 + 1, j1, self.best)
+        if j1 > j0 + 1:
+            self.best = level.top(st, k, j0 + 1, j1, self.best)
         # the middle gap of a hull [x, x + w] is (w, -(3x + w)) over den * 3;
         # it bounds the hull's free intervals
         tip = s // 3
-        order = sorted(((ends[j] - starts[j], -2 * starts[j] - ends[j], j) for j in alone), reverse=True)
-        for w, neg3, j in order:
+        for w, neg3, j in alone:
             if (w * tip, neg3 * tip) <= self.best:
                 break
             x, p = starts[j] * s, level.ids[j]
