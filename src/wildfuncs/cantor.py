@@ -19,10 +19,10 @@ roots and walking down.  At each cover depth only the visible hulls count,
 and their covers are disjoint, so the covered length is a sum of widths,
 clipped only for the few hulls that hold an endpoint; the widest gap comes
 from walking the visible covers widest first.  Both are range aggregates
-over a row of hulls: a row of many hulls keeps, per block of about sqrt(n)
-of them, the summed width by reach and the widest free interval per cover
-depth, so a placement walks only the hulls that hold an endpoint and the
-ends of its range, not every root it meets.  Coordinates are integers over
+over a row of hulls: a row of 128 or more keeps, per block of about
+sqrt(n)/2 of them, the summed width by reach and the widest free interval
+per cover depth, so a placement walks the hulls that hold an endpoint and
+the ends of its range, not every root it meets.  Coordinates are integers over
 one denominator; only the chosen hull becomes a Fraction again.
 Evaluation walks the one chain of hulls that hold x.
 
@@ -596,15 +596,15 @@ def _covered(st: _Placement, lo: int, hi: int):
         level, v = todo.pop()
         starts, ends = level.starts, level.ends
         j0, j1 = bisect_right(ends, lo), bisect_left(starts, hi)
-        held = []
+        holding = []
         if j0 < j1 and starts[j0] < lo:
-            held.append(level.ids[j0])
+            holding.append(level.ids[j0])
             j0 += 1
         if j0 < j1 and ends[j1 - 1] > hi:
             j1 -= 1
-            held.append(level.ids[j1])
+            holding.append(level.ids[j1])
         level.total(st, j0, j1, widths, v)
-        for p in held:
+        for p in holding:
             c, d = st.spans[p]
             reach = max(v, st.gaps[p][0])
             edges.append((c, d - c, reach))
