@@ -282,7 +282,7 @@ class _Placement:
     (level, position) of the parent's gap that holds it.
 
     Coordinates are integers over one denominator, den, that every basis
-    interval and hull met so far divides, the least such; a new denominator
+    interval and hull met so far divides (see widen); a new denominator
     rescales every coordinate and every aggregate.
     For each hull with children it also keeps, over the hull and all hulls
     inside it, their widths summed by reach (the deepest gap level on the
@@ -311,9 +311,16 @@ class _Placement:
         self.deepest = 0  # the deepest cover depth in widest
 
     def widen(self, *dens: int) -> None:
-        """Make den the least common multiple of den and dens."""
+        """Make den a multiple of dens: their least common multiple with
+        den, and past 64 bits 2**16 times that.  Each growth rescales the
+        whole forest, and a long one grows most often by the factor 4 of a
+        new hull's quarter points, so the spare factors of 2 spare the next
+        few hulls a rescale; in a small forest they would only make every
+        integer longer."""
         scale = lcm(self.den, *dens) // self.den
         if scale > 1:
+            if self.den.bit_length() > 64:
+                scale <<= 16
             self.den *= scale
             # in place, so that the old and the new values are not all held
             # at once; the levels share their ints with spans
