@@ -18,12 +18,8 @@ A placement finds the hulls that meet its basis interval by bisecting the
 roots and walking down.  At each cover depth only the visible hulls count,
 and their covers are disjoint, so the covered length is a sum of widths,
 clipped only for the few hulls that hold an endpoint; the widest gap comes
-from walking the visible covers widest first.  Both are range aggregates
-over a row of hulls: a row of 128 or more keeps, per block of about
-sqrt(n)/2 of them, the summed width by reach and the widest free interval
-per cover depth, so a placement walks the hulls that hold an endpoint and
-the ends of its range, not every root it meets.  Coordinates are integers over
-one denominator; only the chosen hull becomes a Fraction again.
+from walking the visible covers widest first.  Coordinates are integers
+over one denominator; only the chosen hull becomes a Fraction again.
 Evaluation walks the one chain of hulls that hold x.
 
 The enumeration yields integer endpoints, and the `cf` queries compare and
@@ -39,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .exactcore import (
     CycleReader,
@@ -81,176 +77,25 @@ def _intervals():
 class _Level:
     """Disjoint closed hulls in left-to-right order, as integers over the
     common denominator: the roots of the forest, or the hulls directly
-    inside one hull.
+    inside one hull."""
 
-    A level of at least _BLOCKED hulls falls into blocks of about sqrt(n) / 2
-    consecutive ones, block b holding positions cuts[b] to cuts[b + 1] - 1.
-    Per block the level keeps the summed mass of its hulls by reach (see
-    _Placement.fold) and, per cover depth, their widest value (see widest),
-    so that a run of hulls is summed, or searched for its widest free
-    interval, a whole block at a time; a block it only partly covers, and
-    a level without blocks, is taken hull by hull.  Per gap of the cover
-    around it that holds hulls of the level, it keeps that gap's widest
-    free interval.
-    """
-
-    __slots__ = ("starts", "ends", "ids", "held", "gapwidest", "cuts", "sums", "tops")
+    __slots__ = ("starts", "ends", "ids")
 
     def __init__(self):
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.ids: list[int] = []
-        self.held: dict | None = None  # see _Walk.cover
-        # gap of the cover around the level -> depth -> the widest free
-        # interval in it, for the gaps that hold hulls of the level
-        self.gapwidest: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-        self.cuts: list[int] | None = None  # no blocks below _BLOCKED hulls
-        self.sums: list[defaultdict[int, int]] = []  # reach -> mass
-        # depth -> per block: (width, -left, exact) of its widest value, or
-        # of a bound on it, or None
-        self.tops: dict[int, list] = {}
 
     def around(self, x: int, den: int = 1) -> int | None:
         """The hull whose closed hull holds x / den, if any."""
         j = bisect_right(self.starts, x // den) - 1
         return self.ids[j] if j >= 0 and x <= self.ends[j] * den else None
 
-    def insert(self, st: _Placement, c: int, d: int, i: int, reach: int) -> None:
-        """Insert hull i, [c, d], which lies in a gap of level reach."""
+    def insert(self, c: int, d: int, i: int) -> None:
         j = bisect_left(self.starts, c)
         self.starts.insert(j, c)
         self.ends.insert(j, d)
         self.ids.insert(j, i)
-        self.held = None
-        cuts = self.cuts
-        if cuts is None:
-            if len(self.ids) >= _BLOCKED:
-                self.rebuild(st)
-            return
-        b = bisect_left(cuts, j, 1) - 1
-        cuts[b + 1 :] = [t + 1 for t in cuts[b + 1 :]]
-        if cuts[b + 1] - cuts[b] > 2 * _block(cuts[-1]):
-            return self.rebuild(st)
-        self.sums[b][reach] += d - c
-        # the new hull has a value, and the hull after it a new piece
-        for tops in self.tops.values():
-            tops[b] = None
-            if j + 1 == cuts[b + 1] < cuts[-1]:
-                tops[b + 1] = None
-
-    def rebuild(self, st: _Placement) -> None:
-        n = len(self.ids)
-        self.cuts = [*range(0, n, _block(n)), n]
-        self.sums = []
-        for j0, j1 in zip(self.cuts, self.cuts[1:]):
-            self.sums.append(defaultdict(int))
-            st.fold(self.ids[j0:j1], self.sums[-1], 0)
-        self.tops = {k: [None] * len(self.sums) for k in self.tops}
-
-    def grow(self, j: int, reach: int, width: int, x: int) -> None:
-        """Hull j gained width at reach, for a new hull that starts at x
-        inside it: only the free interval that x splits changes."""
-        if self.cuts is None:
-            return
-        b = bisect_right(self.cuts, j) - 1
-        self.sums[b][reach] += width
-        for k, tops in self.tops.items():
-            got = tops[b]
-            if got and -got[1] < x * 3**k < got[0] - got[1]:
-                tops[b] = got[0], got[1], False  # now only a bound
-
-    def split(self, gap: tuple[int, int], x: int) -> None:
-        """A new hull that starts at x landed in gap: where it splits that
-        gap's widest free interval, that changes."""
-        known = self.gapwidest.get(gap)
-        for k, (width, neg) in list(known.items()) if known else ():
-            if -neg < x * 3**k < width - neg:
-                del known[k]
-
-    def _runs(self, j0: int, j1: int):
-        """(b, start, stop) over positions j0..j1-1: those of block b from
-        start to stop - 1; b is None where that is not all of the block."""
-        cuts = self.cuts
-        b = bisect_right(cuts, j0) - 1
-        while j0 < j1:
-            stop = min(cuts[b + 1], j1)
-            yield b if j0 == cuts[b] and stop == cuts[b + 1] else None, j0, stop
-            j0, b = stop, b + 1
-
-    def total(self, st: _Placement, j0: int, j1: int, widths: dict, v: int) -> None:
-        """Add the mass by reach of hulls j0..j1-1, seen from reach v, into
-        widths."""
-        if self.cuts is None:
-            return st.fold(self.ids[j0:j1], widths, v)
-        for b, start, stop in self._runs(j0, j1):
-            if b is None:
-                st.fold(self.ids[start:stop], widths, v)
-            else:
-                for r, mass in self.sums[b].items():
-                    widths[r if r > v else v] += mass
-
-    def top(self, st: _Placement, k: int, j0: int, j1: int, best: tuple[int, int]) -> tuple[int, int]:
-        """The widest of best and the values of hulls j0..j1-1 at depth k
-        (see widest): the whole blocks' first, then the hulls of the others
-        against them."""
-        if self.cuts is None:
-            return self.widest(st, k, j0, j1, best)
-        tops = self.tops.get(k)
-        if tops is None:
-            tops = self.tops[k] = [None] * len(self.sums)
-        parts = []
-        for b, start, stop in self._runs(j0, j1):
-            if b is None:
-                parts.append((start, stop))
-                continue
-            got = tops[b]
-            if got is None or not got[2] and got[:2] > best:
-                # a value above best is the block's widest; else best bounds it
-                found = self.widest(st, k, start, stop, best)
-                got = tops[b] = (*found, True) if found > best else (*best, False)
-            if got[2] and got[:2] > best:
-                best = got[:2]
-        for start, stop in parts:
-            best = self.widest(st, k, start, stop, best)
-        return best
-
-    def widest(self, st: _Placement, k: int, j0: int, j1: int, best: tuple[int, int]) -> tuple[int, int]:
-        """The widest of best and the values at depth k of hulls j0..j1-1,
-        as (width, -left) over den * 3**k.  The value of hull j is the
-        widest of the free piece between hulls j - 1 and j and the free
-        intervals inside hull j.  A hull's free intervals are no wider than
-        its middle gap, (w, -(3x + w)) over den * 3 for [x, x + w], so hulls
-        are looked at widest first, until that bound cannot beat the best."""
-        starts, ends, s = self.starts, self.ends, 3**k
-        for j in range(j0 or 1, j1):
-            piece = ((starts[j] - ends[j - 1]) * s, -ends[j - 1] * s)
-            if piece > best:
-                best = piece
-        tip = s // 3
-        if not tip:
-            return best
-        # only hulls whose middle gap is at least as wide as best can beat it
-        least = best[0] // tip
-        order = sorted(
-            ((ends[j] - starts[j], -2 * starts[j] - ends[j], j) for j in range(j0, j1) if ends[j] - starts[j] >= least),
-            reverse=True,
-        )
-        for w, neg3, j in order:
-            if (w * tip, neg3 * tip) <= best:
-                break
-            got = st.free(self.ids[j], k)
-            if got > best:
-                best = got
-        return best
-
-
-_BLOCKED = 128  # the fewest hulls a level cuts into blocks: below it
-# (measured), a block's bookkeeping costs more than the hulls it skips
-
-
-def _block(n: int) -> int:
-    """The block size a level of n hulls is cut into."""
-    return max(2, isqrt(n) // 2)
 
 
 _LEAF = _Level()  # the children of every hull that has none; never filled
@@ -282,17 +127,14 @@ class _Placement:
     (level, position) of the parent's gap that holds it.
 
     Coordinates are integers over one denominator, den, that every basis
-    interval and hull met so far divides (see widen); a new denominator
-    rescales every coordinate and every aggregate.
+    interval and hull met so far divides, the least such; a new denominator
+    rescales every coordinate.
     For each hull with children it also keeps, over the hull and all hulls
     inside it, their widths summed by reach (the deepest gap level on the
     path down from the hull, so the least cover depth at which they are
     visible from it) and, per cover depth, the widest interval inside the
-    hull that no cover holds.  Each level keeps the same two per block of
-    its hulls, and the second per gap of the cover around it (see _Level).
-    A new hull adds its width to the first along its ancestors and their
-    blocks, and drops the second, a block's widest and a gap's, where the
-    new hull lands inside it: only the interval it splits changes.
+    hull that no cover holds.  A new hull adds its width to the first along
+    its ancestors, and drops the second where the new hull lands inside it.
     """
 
     def __init__(self):
@@ -311,16 +153,9 @@ class _Placement:
         self.deepest = 0  # the deepest cover depth in widest
 
     def widen(self, *dens: int) -> None:
-        """Make den a multiple of dens: their least common multiple with
-        den, and past 64 bits 2**16 times that.  Each growth rescales the
-        whole forest, and a long one grows most often by the factor 4 of a
-        new hull's quarter points, so the spare factors of 2 spare the next
-        few hulls a rescale; in a small forest they would only make every
-        integer longer."""
+        """Make den the least common multiple of den and dens."""
         scale = lcm(self.den, *dens) // self.den
         if scale > 1:
-            if self.den.bit_length() > 64:
-                scale <<= 16
             self.den *= scale
             # in place, so that the old and the new values are not all held
             # at once; the levels share their ints with spans
@@ -329,12 +164,6 @@ class _Placement:
             for level in {id(level): level for level in (self.roots, *self.children)}.values():
                 level.starts[:] = [self.spans[p][0] for p in level.ids]
                 level.ends[:] = [self.spans[p][1] for p in level.ids]
-                level.gapwidest.clear()
-                for sums in level.sums:
-                    for r in sums:
-                        sums[r] *= scale
-                for tops in level.tops.values():
-                    tops[:] = [got and (got[0] * scale, got[1] * scale, got[2]) for got in tops]
             for mass in self.masses.values():
                 mass[:] = [m * scale for m in mass]
             for key, (width, neg) in self.widest.items():
@@ -344,72 +173,40 @@ class _Placement:
         c, d, i = rec["c"], rec["d"], rec["index"]
         self.widen(c.denominator, d.denominator)
         c, d = c.numerator * (self.den // c.denominator), d.numerator * (self.den // d.denominator)
-        path, level, parent, gap = [], self.roots, None, (0, 0)
-        while (j := bisect_right(level.starts, c) - 1) >= 0 and c <= level.ends[j]:
-            parent = level.ids[j]
-            path.append((level, j, parent))
-            level = self.children[parent]
-        if parent is not None:
-            pc, pd = self.spans[parent]
-            gap = _gap_of(c - pc, pd - pc, rec["depth"])
-            if level is _LEAF:
-                level = self.children[parent] = _Level()
+        level, parent, gap = self.roots, None, (0, 0)
+        while (p := level.around(c)) is not None:
+            pc, pd = self.spans[p]
+            level, parent, gap = self.children[p], p, _gap_of(c - pc, pd - pc, rec["depth"])
+        if level is _LEAF:
+            level = self.children[parent] = _Level()
+        level.insert(c, d, i)
         self.spans.append((c, d))
         self.children.append(_LEAF)
         self.parents.append(parent)
         self.gaps.append(gap)
-        level.insert(self, c, d, i, gap[0])
-        level.split(gap, c)
-        reach = gap[0]
-        for level, j, p in reversed(path):
-            mass = self.masses.setdefault(p, self.mass(p))
+        reach = 0
+        while parent is not None:
+            reach = max(reach, self.gaps[i][0])
+            mass = self.masses.setdefault(parent, self.mass(parent))
             mass.extend([0] * (reach + 1 - len(mass)))
             mass[reach] += d - c
             # the new hull splits the free interval it lies in; only when
             # that was the widest does the widest change
             for k in range(reach, self.deepest + 1):
-                width, neg = self.widest.get((p, k), (0, 0))
+                width, neg = self.widest.get((parent, k), (0, 0))
                 if -neg < c * 3**k < width - neg:
-                    del self.widest[p, k]
-            reach = max(reach, self.gaps[p][0])
-            level.grow(j, reach, d - c, c)
-            level.split(self.gaps[p], c)
+                    del self.widest[parent, k]
+            i, parent = parent, self.parents[parent]
         self.records.append(rec)  # last: a record is read without the lock
 
     def mass(self, p: int) -> list[int]:
         """The widths of hull p and the hulls inside it, by reach."""
         return self.masses.get(p) or [self.spans[p][1] - self.spans[p][0]]
 
-    def fold(self, ids: list[int], widths: dict, v: int) -> None:
-        """Add the mass by reach of the hulls ids into widths, seen from
-        reach v across the gap that holds each."""
-        masses, spans, gaps = self.masses, self.spans, self.gaps
-        for p in ids:
-            g = gaps[p][0]
-            if g < v:
-                g = v
-            mass = masses.get(p)
-            if mass is None:
-                widths[g] += spans[p][1] - spans[p][0]
-            else:
-                for r, m in enumerate(mass):
-                    widths[r if r > g else g] += m
-
-    def known(self, p: int, k: int) -> tuple[int, int] | None:
-        """free(p, k) where that needs no walk, else None."""
-        if not k:
-            return 0, 0
-        if self.children[p] is _LEAF:  # the middle gap
-            c, d = self.spans[p]
-            s = 3**k
-            t = s // 3
-            return (d - c) * t, -c * s - (d - c) * t
-        return self.widest.get((p, k))
-
     def free(self, p: int, k: int) -> tuple[int, int]:
         """(width, -left) of the widest interval inside hull p that no
         depth-k cover holds, leftmost on ties, over den * 3**k."""
-        got = self.known(p, k)
+        got = self.widest.get((p, k))
         if got is None:
             s = 3**k
             c, d = self.spans[p]
@@ -482,10 +279,8 @@ class _Walk:
     has the width of its hull over den.  A free interval is a piece of
     (lo, hi), or of a gap of a visible cover, between the visible hulls in
     it; or a gap of a visible cover that holds no visible hull.  Hulls
-    within (lo, hi) answer from their cached widest interval, runs of them
-    from their level's blocks, and gaps within (lo, hi) from their cached
-    widest; so only the hulls that hold lo or hi are walked.  A hull's free
-    intervals are no wider than its middle gap, so hulls are looked at
+    within (lo, hi) answer from their cached widest interval.  A hull's
+    free intervals are no wider than its middle gap, so hulls are looked at
     widest first, until that bound cannot beat the best interval found.
     """
 
@@ -505,81 +300,64 @@ class _Walk:
         """The free intervals of (left, right), which holds the sibling hulls
         level.ids[j0:j1]: the pieces between them and those inside them."""
         st, k, s, lo, hi = self.st, self.k, self.s, self.lo, self.hi
-        starts, ends = level.starts, level.ends
-        # the hulls that meet (lo, hi); lo and hi are multiples of s
+        starts, ends, ids = level.starts, level.ends, level.ids
+        # the hulls that meet (lo, hi), and the free pieces between them;
+        # lo and hi are multiples of s
         j0 = bisect_right(ends, lo // s, j0, j1)
         j1 = bisect_left(starts, hi // s, j0, j1)
-        if j0 == j1:
-            return self.offer(left, right)
-        self.offer(left, starts[j0] * s)
-        self.offer(ends[j1 - 1] * s, right)
-        # the pieces between the hulls, and the free intervals inside all
-        # but the first and the last when it holds hi, come from the level's
-        # blocks; those two are looked at alone
-        alone = [(ends[j0] - starts[j0], -2 * starts[j0] - ends[j0], j0)]
-        if j1 - 1 > j0 and ends[j1 - 1] * s > hi:
-            j1 -= 1
-            alone.append((ends[j1] - starts[j1], -2 * starts[j1] - ends[j1], j1))
-            alone.sort(reverse=True)
-            self.offer(ends[j1 - 1] * s, starts[j1] * s)
-        if j1 > j0 + 1:
-            self.best = level.top(st, k, j0 + 1, j1, self.best)
+        for j in range(j0, j1):
+            self.offer(left, starts[j] * s)
+            left = ends[j] * s
+        self.offer(left, right)
+        if not k or j0 == j1:
+            return
         # the middle gap of a hull [x, x + w] is (w, -(3x + w)) over den * 3;
-        # it bounds the hull's free intervals
+        # it bounds the hull's free intervals, so only hulls whose middle
+        # gap is at least as wide as the best so far are sorted
         tip = s // 3
-        for w, neg3, j in alone:
+        least = self.best[0] // tip
+        order = sorted(
+            (
+                (ends[j] - starts[j], -2 * starts[j] - ends[j], j)
+                for j in range(j0, j1)
+                if ends[j] - starts[j] >= least
+            ),
+            reverse=True,
+        )
+        for w, neg3, j in order:
             if (w * tip, neg3 * tip) <= self.best:
                 break
-            x, p = starts[j] * s, level.ids[j]
+            x = starts[j] * s
             if lo <= x and ends[j] * s <= hi:
-                width, neg = st.free(p, k)
+                width, neg = st.free(ids[j], k)
                 self.offer(-neg, width - neg)
-            # a hull that holds lo or hi, unless its widest free interval
-            # is known and lies within (lo, hi), the widest of those left
-            elif (got := st.known(p, k)) and lo <= -got[1] and got[0] - got[1] <= hi:
-                self.offer(-got[1], got[0] - got[1])
             else:
-                self.cover(p, x, w)
+                self.cover(ids[j], x, w)
 
     def cover(self, p: int, x: int, w: int) -> None:
         """The free intervals in the gaps of hull p's depth-k cover, which
-        starts at x in segments of width w: each segment's middle third, or
-        the region of the children in it, then the segment's two thirds,
-        while a segment's middle third can beat the best interval found."""
+        starts at x in segments of width w."""
         children = self.st.children[p]
-        held = children.held  # gap -> [j0, j1) of the children in it
-        if held is None:
-            held = children.held = {}
-            for j, ch in enumerate(children.ids):
-                gap = self.st.gaps[ch]
+        held = {}  # gap -> [j0, j1) of the children in it, for gap levels <= k
+        for j, ch in enumerate(children.ids):
+            gap = self.st.gaps[ch]
+            if gap[0] <= self.k:
                 held[gap] = held.get(gap, (j,))[0], j + 1
-        todo = [(x, self.k, 0, 0)] if self.k else []
-        while todo:
-            # the segment [x, x + w * 3**m] of the level-`level` cover
-            x, m, level, position = todo.pop()
-            third = w * 3 ** (m - 1)
-            if x + 3 * third <= self.lo or x >= self.hi or (third, -x) <= self.best:
-                continue
-            gap = level + 1, position
-            slot = held.get(gap)
-            if not slot:
-                self.offer(x + third, x + 2 * third)
-            elif self.lo <= x + third and x + 2 * third <= self.hi:
-                # a gap within (lo, hi): its widest, kept until a new hull
-                # splits it
-                known = children.gapwidest.setdefault(gap, {})
-                got = known.get(self.k)
-                if got is None:
-                    walk = _Walk(self.st, self.k, x + third, x + 2 * third)
-                    walk.region(children, *slot, x + third, x + 2 * third)
-                    got = known[self.k] = walk.best
-                if got > self.best:
-                    self.best = got
-            else:
-                self.region(children, *slot, x + third, x + 2 * third)
-            if m > 1:
-                todo.append((x + 2 * third, m - 1, level + 1, 2 * position + 1))
-                todo.append((x, m - 1, level + 1, 2 * position))
+        self._segment(children, held, x, w, self.k, 0, 0)
+
+    def _segment(self, children, held, x, w, m, level, position) -> None:
+        # the cover below one level-`level` segment, [x, x + w * 3**m]
+        span = w * 3**m
+        third = span // 3
+        if m == 0 or x + span <= self.lo or x >= self.hi or (third, -x) <= self.best:
+            return
+        slot = held.get((level + 1, position))
+        if slot:
+            self.region(children, *slot, x + third, x + 2 * third)
+        else:
+            self.offer(x + third, x + 2 * third)
+        self._segment(children, held, x, w, m - 1, level + 1, 2 * position)
+        self._segment(children, held, x + 2 * third, w, m - 1, level + 1, 2 * position + 1)
 
 
 def _covered(st: _Placement, lo: int, hi: int):
@@ -595,9 +373,10 @@ def _covered(st: _Placement, lo: int, hi: int):
     sums the first by reach and collects the second, before the first value.
     """
     # the visible width within (lo, hi), by the least depth that shows it,
-    # and the hulls that hold lo or hi, each with its reach; the hulls in
-    # between are summed from the level's blocks
+    # and the hulls that hold lo or hi, each with its reach: of the hulls of
+    # a level that meet (lo, hi), only the first and the last can hold one
     widths, edges = defaultdict(int), []
+    masses, spans, gaps = st.masses, st.spans, st.gaps
     todo = [(st.roots, 0)]
     while todo:
         level, v = todo.pop()
@@ -610,10 +389,19 @@ def _covered(st: _Placement, lo: int, hi: int):
         if j0 < j1 and ends[j1 - 1] > hi:
             j1 -= 1
             holding.append(level.ids[j1])
-        level.total(st, j0, j1, widths, v)
+        for p in level.ids[j0:j1]:
+            g = gaps[p][0]
+            if g < v:
+                g = v
+            mass = masses.get(p)
+            if mass is None:
+                widths[g] += spans[p][1] - spans[p][0]
+            else:
+                for r, m in enumerate(mass):
+                    widths[r if r > g else g] += m
         for p in holding:
-            c, d = st.spans[p]
-            reach = max(v, st.gaps[p][0])
+            c, d = spans[p]
+            reach = max(v, gaps[p][0])
             edges.append((c, d - c, reach))
             todo.append((st.children[p], reach))
     inside = 0
