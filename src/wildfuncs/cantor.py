@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -40,6 +39,7 @@ from math import gcd, lcm
 from .exactcore import (
     CycleReader,
     DigitExpansion,
+    Record,
     _divide,
     _int_from_digits,
     _multiplicative_order,
@@ -513,21 +513,20 @@ def _unit_digits(t: Fraction) -> tuple[bytes, bytes] | None:
     return e.prefix, e.cycle
 
 
-@dataclass(frozen=True)
-class BitStream:
+class BitStream(Record):
     """Eventually repeating 0/1 stream: prefix bits then a repeating cycle
     (empty cycle = all zeros from there on)."""
 
-    prefix: bytes
-    cycle: bytes
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        if type(self.prefix) is not bytes or type(self.cycle) is not bytes:
-            object.__setattr__(self, "prefix", bytes(self.prefix))
-            object.__setattr__(self, "cycle", bytes(self.cycle))
-        for part in (self.prefix, self.cycle):
+    def __init__(self, prefix: bytes, cycle: bytes):
+        if type(prefix) is not bytes or type(cycle) is not bytes:
+            prefix, cycle = bytes(prefix), bytes(cycle)
+        for part in (prefix, cycle):
             if part and max(part) > 1:
                 raise ValueError("stream digits must be bits")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
 
 def _head(s: BitStream, n: int) -> bytes:

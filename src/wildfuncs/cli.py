@@ -25,7 +25,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import cantor, projections, qspan, ternary, verify
+from . import qspan, verify
 from .exactcore import format_rational, parse_rational
 from .surds import QuadraticSurd, parse_surd, format_surd
 
@@ -80,9 +80,12 @@ def _reciprocal(x: Fraction) -> Fraction:
 def _rational_fn(fn: str, max_index: int):
     """(evaluate, format) for an exact function token on rational inputs."""
     if fn in ("p", "q"):
+        from . import projections
         return (lambda x: projections.PROJECTIONS[fn](QuadraticSurd(x, 0))), format_surd
     if fn == "cf":
+        from . import cantor
         return (lambda x: cantor.evaluate(x, max_index)[0]), format_rational
+    from . import ternary
     table = {"h": ternary.evaluate, "hs": ternary.evaluate_signed, "recip": _reciprocal}
     if fn not in table:
         raise ValueError(f"not an exactly evaluable function: {fn!r}")
@@ -96,6 +99,7 @@ def _load_map(token: str) -> qspan.AdditiveMap:
 def _cmd_eval(args) -> int:
     fn = args.fn
     if fn in ("p", "q"):
+        from . import projections
         x = parse_surd(args.x)
         value = projections.PROJECTIONS[fn](x)
         print(format_surd(value))
@@ -106,6 +110,7 @@ def _cmd_eval(args) -> int:
             point, fmt = _rational_fn(fn, args.max_index)
             print(fmt(point(x)))
         else:
+            from . import ternary
             audit = ternary.digit_audit(x)  # one expansion gives the value and the digits
             print(audit["value"] if fn == "h" else audit["value_signed"])
             print(f"expansion: {audit['expansion']}")
@@ -114,6 +119,7 @@ def _cmd_eval(args) -> int:
             print(f"tail_digits: {audit['tail_digits'] or '-'}")
         return 0
     if fn == "cf":
+        from . import cantor
         x = parse_rational(args.x)
         value, upto = cantor.evaluate(x, args.max_index)
         print(format_rational(value))
@@ -131,6 +137,7 @@ def _cmd_preimage(args) -> int:
     y = parse_rational(args.y)
     l, r = _parse_pair(args.interval)
     if args.fn in ("h", "hs"):
+        from . import ternary
         signed = args.fn == "hs"
         x = ternary.preimage(y, l, r, signed=signed)
         print(format_rational(x))
@@ -140,6 +147,7 @@ def _cmd_preimage(args) -> int:
               f"{'OK' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.fn == "cf":
+        from . import cantor
         x, idx = cantor.preimage(y, l, r)
         print(format_rational(x))
         print(f"index: {idx}")
@@ -153,6 +161,7 @@ def _cmd_preimage(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.fn in ("p", "q"):
+        from . import projections
         cls = projections.classify_shift(args.fn, parse_surd(args.shift))
         inc = format_surd(cls.increment)
     elif args.fn.startswith("map:"):
@@ -170,6 +179,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_density_witness(args) -> int:
+    from . import projections
     x1, x2, y1, y2 = _parse_rect(args.rect)
     w = projections.density_witness(args.fn, x1, x2, y1, y2)
     print(format_surd(w))
@@ -225,6 +235,7 @@ def _cmd_hypo(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
+    from . import cantor
     cantor.ensure_placed(args.max_index)
     for i in range(args.max_index):
         rec = cantor.placement_record(i)

@@ -8,9 +8,9 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 SUPPORTED_BASES = (2, 3)
 
@@ -357,11 +357,52 @@ def _multiplicative_order(b: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+
+
+class Record:
+    """Base of the immutable value classes.  A subclass names its fields, in
+    order, in `__slots__`, and its `__init__` sets them with
+    `object.__setattr__`.  Equality, hash, repr (`Name(field=value, ...)`),
+    copy and pickle follow the tuple of field values; assigning or deleting
+    a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+# ---------------------------------------------------------------------------
 # canonical expansions
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(Record):
     """Canonical positional expansion of a rational in base 2 or 3.
 
     Digits are stored as bytes, one digit value per byte, most significant
@@ -371,21 +412,14 @@ class DigitExpansion:
     zero as ``+0`` with no digits.  The constructor rejects anything else.
     """
 
-    base: int
-    sign: int
-    integer_digits: bytes
-    prefix: bytes
-    cycle: bytes
+    __slots__ = ("base", "sign", "integer_digits", "prefix", "cycle")
 
-    def __post_init__(self):
-        base, ipart, prefix, cycle = self.base, self.integer_digits, self.prefix, self.cycle
+    def __init__(self, base: int, sign: int, integer_digits: bytes, prefix: bytes, cycle: bytes):
+        ipart = integer_digits
         if type(ipart) is not bytes or type(prefix) is not bytes or type(cycle) is not bytes:
             ipart, prefix, cycle = bytes(ipart), bytes(prefix), bytes(cycle)
-            object.__setattr__(self, "integer_digits", ipart)
-            object.__setattr__(self, "prefix", prefix)
-            object.__setattr__(self, "cycle", cycle)
         _check_base(base)
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         digits = _DIGIT_SETS[base]
         if ipart.translate(None, digits) or prefix.translate(None, digits) or cycle.translate(None, digits):
@@ -407,8 +441,14 @@ class DigitExpansion:
                 raise ValueError("cycle does not start as early as possible")
         elif prefix and prefix[-1] == 0:
             raise ValueError("terminating expansion must not end in zero")
-        if not (ipart or prefix or cycle) and self.sign != 1:
+        if not (ipart or prefix or cycle) and sign != 1:
             raise ValueError("zero carries sign +1")
+        put = object.__setattr__
+        put(self, "base", base)
+        put(self, "sign", sign)
+        put(self, "integer_digits", ipart)
+        put(self, "prefix", prefix)
+        put(self, "cycle", cycle)
 
     def digit_str(self) -> str:
         out = "-" if self.sign < 0 else ""
@@ -545,14 +585,17 @@ def from_expansion(e: DigitExpansion) -> Fraction:
 # digit cylinders
 
 
-@dataclass(frozen=True)
-class CylinderPrefix:
+class CylinderPrefix(Record):
     """Digit prefix whose closed cylinder [value, value + base**-depth] sits
     strictly inside the open interval it was built for."""
 
-    base: int
-    depth: int
-    value: Fraction
+    __slots__ = ("base", "depth", "value")
+
+    def __init__(self, base: int, depth: int, value: Fraction):
+        put = object.__setattr__
+        put(self, "base", base)
+        put(self, "depth", depth)
+        put(self, "value", value)
 
     def right(self) -> Fraction:
         return self.value + Fraction(1, self.base**self.depth)

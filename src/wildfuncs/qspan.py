@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .exactcore import parse_rational
+from .exactcore import Record, parse_rational
 
 DEFAULT_PRECISION = 128
 
@@ -38,22 +37,22 @@ class Direction(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class ShiftClass:
+class ShiftClass(Record):
     """Outcome of shifting a function by t: either a period (the function
     value is unchanged) or a quasiperiod with the given nonzero increment.
     `direction` records whether shift and increment agree in sign and is
     None for periods."""
 
-    kind: ShiftKind
-    increment: object
-    direction: Direction | None
+    __slots__ = ("kind", "increment", "direction")
 
-    def __post_init__(self):
-        if (self.kind is ShiftKind.PERIOD) != (self.direction is None):
+    def __init__(self, kind: ShiftKind, increment: object, direction: Direction | None):
+        if (kind is ShiftKind.PERIOD) != (direction is None):
             raise ValueError("direction is carried exactly by quasiperiods")
-        if (self.kind is ShiftKind.PERIOD) != self.increment.is_zero:
+        if (kind is ShiftKind.PERIOD) != increment.is_zero:
             raise ValueError("periods are exactly the zero-increment shifts")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "increment", increment)
+        object.__setattr__(self, "direction", direction)
 
 
 def shift_class(t, increment, sign) -> ShiftClass:
@@ -148,32 +147,27 @@ def _is_squarefree(d: int) -> bool:
 # bases, elements, maps
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Record):
     """One declared basis number: the unit 1, sqrt(radicand), or a named
     constant (`pi` or `e`) with a certified evaluator in OPAQUE_ENCLOSURES."""
 
-    kind: str
-    radicand: int = 0
-    name: str = ""
+    __slots__ = ("kind", "radicand", "name")
 
-    def __post_init__(self):
-        if self.kind == "one":
-            return
-        if self.kind == "sqrt":
+    def __init__(self, kind: str, radicand: int = 0, name: str = ""):
+        if kind == "sqrt":
             # _is_squarefree is trial division, O(sqrt(d)): 0.2 s at 10**12
-            if self.radicand > 10**12:
-                raise ValueError(f"radicand must be at most 10**12, got {self.radicand}")
-            if self.radicand < 2 or not _is_squarefree(self.radicand):
-                raise ValueError(
-                    f"radicand must be squarefree and >= 2, got {self.radicand}"
-                )
-            return
-        if self.kind == "opaque":
-            if self.name not in OPAQUE_ENCLOSURES:
-                raise ValueError(f"unknown opaque constant: {self.name!r}")
-            return
-        raise ValueError(f"unknown symbol kind: {self.kind!r}")
+            if radicand > 10**12:
+                raise ValueError(f"radicand must be at most 10**12, got {radicand}")
+            if radicand < 2 or not _is_squarefree(radicand):
+                raise ValueError(f"radicand must be squarefree and >= 2, got {radicand}")
+        elif kind == "opaque":
+            if name not in OPAQUE_ENCLOSURES:
+                raise ValueError(f"unknown opaque constant: {name!r}")
+        elif kind != "one":
+            raise ValueError(f"unknown symbol kind: {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
@@ -195,8 +189,7 @@ class Symbol:
         return OPAQUE_ENCLOSURES[self.name](bits)
 
 
-@dataclass(frozen=True)
-class SpanBasis:
+class SpanBasis(Record):
     """Ordered basis of declared reals, asserted Q-linearly independent.
 
     Independence is checkable (and checked) only for the unit-and-surd case:
@@ -206,14 +199,15 @@ class SpanBasis:
     sign.
     """
 
-    symbols: tuple[Symbol, ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: tuple[Symbol, ...]):
+        symbols = tuple(symbols)
+        if not symbols:
             raise ValueError("basis needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("basis symbols must be pairwise distinct")
+        object.__setattr__(self, "symbols", symbols)
 
     @classmethod
     def from_strings(cls, items) -> "SpanBasis":
@@ -224,17 +218,16 @@ class SpanBasis:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class SpanElement:
-    basis: SpanBasis
-    coords: tuple[Fraction, ...]
+class SpanElement(Record):
+    __slots__ = ("basis", "coords")
 
-    def __post_init__(self):
-        coords = self.coords
+    def __init__(self, basis: SpanBasis, coords: tuple[Fraction, ...]):
         if type(coords) is not tuple or any(type(q) is not Fraction for q in coords):
-            object.__setattr__(self, "coords", tuple(Fraction(q) for q in coords))
-        if len(self.coords) != self.basis.dim:
+            coords = tuple(Fraction(q) for q in coords)
+        if len(coords) != basis.dim:
             raise ValueError("coordinate count does not match basis size")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_zero(self) -> bool:
@@ -260,20 +253,19 @@ class SpanElement:
         return SpanElement(self.basis, tuple(q * a for a in self.coords))
 
 
-@dataclass(frozen=True)
-class AdditiveMap:
+class AdditiveMap(Record):
     """Rational matrix over a span basis; column k holds the coordinates of
     the image of basis symbol k."""
 
-    basis: SpanBasis
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("basis", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = self.basis.dim
+    def __init__(self, basis: SpanBasis, rows: tuple[tuple[Fraction, ...], ...]):
+        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        n = basis.dim
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square with basis dimension")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
 
 
 def apply_map(f: AdditiveMap, x: SpanElement) -> SpanElement:

@@ -7,29 +7,24 @@ analysis.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 
-from .exactcore import parse_rational
+from .exactcore import Record, parse_rational
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
 @total_ordering
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(Record):
     """The number a + b*sqrt(2) with exact rational components."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     @property
     def is_zero(self) -> bool:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import cantor, projections, qspan, ternary
+from . import qspan
 from .exactcore import (
     DigitExpansion,
     cylinder_for_interval,
@@ -176,6 +175,7 @@ def _suite_cylinder_soundness(rng):
 
 @_per_trial
 def _suite_projection_identity(rng):
+    from . import projections
     x = _rand_surd(rng)
     back = projections.rational_component(x) + projections.radical_component(x)
     if back != x:
@@ -184,6 +184,7 @@ def _suite_projection_identity(rng):
 
 @_per_trial
 def _suite_classify_soundness(rng):
+    from . import projections
     fn = "p" if rng.random() < 0.5 else "q"
     t = _rand_surd(rng, 50, 20)
     if t.is_zero:
@@ -203,6 +204,7 @@ def _suite_classify_soundness(rng):
 
 @_per_trial
 def _suite_density_witness(rng):
+    from . import projections
     fn = "p" if rng.random() < 0.5 else "q"
     x_lo, x_hi = _rand_interval(rng)
     y_lo, y_hi = _rand_interval(rng)
@@ -214,6 +216,7 @@ def _suite_density_witness(rng):
 
 @_per_trial
 def _suite_h_roundtrip(rng):
+    from . import ternary
     signed = rng.random() < 0.5
     y = _rand_fraction(rng, 100, 500)
     if not signed:
@@ -227,6 +230,7 @@ def _suite_h_roundtrip(rng):
 
 @_per_trial
 def _suite_h_periodic(rng):
+    from . import ternary
     x = _rand_fraction(rng, 500, 500)
     k = rng.randint(-5, 5)
     a, b = ternary.shift_pair(x, k)
@@ -236,6 +240,7 @@ def _suite_h_periodic(rng):
 
 @_per_trial
 def _suite_h_zero_cases(rng):
+    from . import ternary
     # a cycle containing a 2 means infinitely many 2s: value 0
     cyc = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))] + [2]
     rng.shuffle(cyc)
@@ -260,6 +265,7 @@ def _suite_h_zero_cases(rng):
 
 @_per_trial
 def _suite_cantor_codec(rng):
+    from . import cantor
     y = _rand_fraction(rng, 500, 200)
     back = cantor.decode_bits(cantor.encode_value(y))
     if back != y:
@@ -267,6 +273,7 @@ def _suite_cantor_codec(rng):
 
 
 def _suite_cantor_placement(trials, seed):
+    from . import cantor
     bound = min(trials, 24)
     cantor.ensure_placed(bound)
     failures = []
@@ -287,6 +294,7 @@ def _suite_cantor_placement(trials, seed):
 
 @_per_trial
 def _suite_cantor_roundtrip(rng):
+    from . import cantor
     y = _rand_fraction(rng, 100, 64)
     l, r = _rand_cantor_interval(rng)
     x, idx = cantor.preimage(y, l, r)
@@ -364,13 +372,15 @@ SUITES = {
 }
 
 
-@dataclass
 class PropertyReport:
-    suite: str
-    trials: int
-    seed: int
-    failures: list = field(default_factory=list)
-    wall_ms: float = 0.0
+    def __init__(
+        self, suite: str, trials: int, seed: int, failures: list | None = None, wall_ms: float = 0.0
+    ):
+        self.suite = suite
+        self.trials = trials
+        self.seed = seed
+        self.failures = [] if failures is None else failures
+        self.wall_ms = wall_ms
 
     @property
     def passed(self) -> bool:

@@ -599,6 +599,25 @@ class TestUsage:
         )
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("argv, absent", [
+        ([], ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections", "wildfuncs.ternary")),
+        (["eval", "--fn", "h", "--x", "226/243"], ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections")),
+        (["preimage", "--fn", "h", "--y", "5/8", "--interval", "1/2,2/3"],
+         ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections")),
+    ])
+    def test_start_loads_only_what_the_command_needs(self, argv, absent):
+        # a CLI start pays for the imports of its own subcommand only
+        script = (
+            "import sys, wildfuncs.cli\n"
+            "code = wildfuncs.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            "print(*sys.modules, file=sys.stderr)\n"
+            "raise SystemExit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert "wildfuncs.cli" in loaded and not loaded & set(absent)
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="CPython before 3.10.7 has no int/str digit guard")
     def test_digit_guard_restored(self, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import time
@@ -8,7 +10,9 @@ from math import gcd
 import pytest
 
 from wildfuncs import exactcore
+from wildfuncs.cantor import BitStream
 from wildfuncs.exactcore import (
+    CylinderPrefix,
     DigitExpansion,
     cylinder_for_interval,
     format_rational,
@@ -17,6 +21,16 @@ from wildfuncs.exactcore import (
     parse_rational,
     to_expansion,
 )
+from wildfuncs.qspan import (
+    AdditiveMap,
+    Direction,
+    ShiftClass,
+    ShiftKind,
+    SpanBasis,
+    SpanElement,
+    Symbol,
+)
+from wildfuncs.surds import QuadraticSurd
 
 
 def _long_division(x, base):
@@ -618,3 +632,80 @@ class TestCylinder:
         # the value is a prefix of `depth` digits: its expansion terminates there
         e = to_expansion(cyl.value, 3)
         assert not e.cycle and len(e.prefix) <= cyl.depth
+
+
+_BASIS = SpanBasis.from_strings(["1", "sqrt:2"])
+
+# per frozen value class: its field names in order, and the field values of
+# two instances that differ in one field
+RECORDS = {
+    "DigitExpansion": (
+        DigitExpansion, ("base", "sign", "integer_digits", "prefix", "cycle"),
+        (3, -1, b"", b"\x01", b"\x02\x00"), (3, 1, b"", b"\x01", b"\x02\x00"),
+    ),
+    "CylinderPrefix": (CylinderPrefix, ("base", "depth", "value"), (3, 3, F(10, 27)), (3, 4, F(10, 27))),
+    "QuadraticSurd": (QuadraticSurd, ("a", "b"), (F(1), F(2)), (F(1), F(3))),
+    "BitStream": (BitStream, ("prefix", "cycle"), (b"\x01\x00", b"\x01"), (b"\x01", b"\x01")),
+    "ShiftClass": (
+        ShiftClass, ("kind", "increment", "direction"),
+        (ShiftKind.QUASIPERIOD, QuadraticSurd(1, 0), Direction.INCREASING),
+        (ShiftKind.QUASIPERIOD, QuadraticSurd(1, 0), Direction.DECREASING),
+    ),
+    "Symbol": (Symbol, ("kind", "radicand", "name"), ("sqrt", 2, ""), ("sqrt", 3, "")),
+    "SpanBasis": (SpanBasis, ("symbols",), (_BASIS.symbols,), ((Symbol("one"), Symbol("sqrt", 3)),)),
+    "SpanElement": (SpanElement, ("basis", "coords"), (_BASIS, (F(1), F(2))), (_BASIS, (F(1), F(3)))),
+    "AdditiveMap": (
+        AdditiveMap, ("basis", "rows"),
+        (_BASIS, ((F(1), F(0)), (F(0), F(0)))), (_BASIS, ((F(1), F(0)), (F(0), F(1)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecord:
+    def test_fields_are_frozen(self, name):
+        cls, fields, values, other = RECORDS[name]
+        x = cls(*values)
+        for field, value in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(x, field, value)
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+            assert getattr(x, field) == value
+
+    def test_equality_and_hash_follow_fields(self, name):
+        cls, fields, values, other = RECORDS[name]
+        x, y, z = cls(*values), cls(*values), cls(*other)
+        assert x is not y and x == y and not x != y and hash(x) == hash(y)
+        assert hash(x) == hash(values)
+        assert x != z and hash(z) == hash(other)
+        assert x != values  # another class compares unequal, even with the same fields
+
+    def test_copy_and_pickle_round_trip(self, name):
+        cls, fields, values, other = RECORDS[name]
+        x = cls(*values)
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is cls and c == x
+            assert tuple(getattr(c, field) for field in fields) == values
+
+    def test_keyword_construction(self, name):
+        cls, fields, values, other = RECORDS[name]
+        assert cls(**dict(zip(fields, values))) == cls(*values)
+
+
+class TestRecordRepr:
+    def test_pinned_forms(self):
+        # the `Name(field=value, ...)` form that `verify` failure reports print
+        assert repr(QuadraticSurd(1, 2)) == "QuadraticSurd(a=Fraction(1, 1), b=Fraction(2, 1))"
+        assert repr(to_expansion(F(-7, 12), 3)) == (
+            "DigitExpansion(base=3, sign=-1, integer_digits=b'', prefix=b'\\x01', cycle=b'\\x02\\x00')"
+        )
+        assert repr(to_expansion(F(22, 7), 2)) == (
+            "DigitExpansion(base=2, sign=1, integer_digits=b'\\x01\\x01', prefix=b'', cycle=b'\\x00\\x00\\x01')"
+        )
+
+    def test_keyword_default(self):
+        assert Symbol("sqrt", radicand=2) == Symbol("sqrt", 2, "")
+        assert Symbol("one") == Symbol(kind="one", radicand=0, name="")

@@ -51,6 +51,12 @@ class TestRunSuite:
         b = verify.run_suite("projection-identity", 50, 2)
         assert a.passed and b.passed
 
+    def test_reports_do_not_share_failures(self):
+        a = verify.PropertyReport("surd-order", 1, 0)
+        b = verify.PropertyReport("surd-order", 1, 0)
+        a.failures.append({"trial": 0})
+        assert b.failures == [] and b.passed and not a.passed
+
     @pytest.mark.parametrize("name", sorted(verify.SUITES))
     def test_every_suite_passes_smoke(self, name):
         report = verify.run_suite(name, 25, 7)
