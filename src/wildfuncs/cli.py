@@ -14,6 +14,9 @@ Exact answers print at any size.
 
 Exit codes: 0 success, 1 property failure, 2 usage or parse errors, and a
 `sample` of more than MAX_SAMPLE_ROWS rows.
+
+A command imports `cantor`, `projections` and `ternary` inside the handlers
+that use them, so it loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 import sys
 from fractions import Fraction
 
+# verify is imported here, not in _cmd_verify: perfbench imports this module
+# and then rebinds the names verify imported (its IMPORT_SITES)
 from . import qspan, verify
 from .exactcore import format_rational, parse_rational
 from .surds import QuadraticSurd, parse_surd, format_surd

@@ -369,9 +369,10 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other):

@@ -5,6 +5,9 @@ generator seeded by a fixed function of (seed, i), and failures are merged
 in trial order, so identical invocations print identical reports.
 `_per_trial` holds that rule for every suite but the placement audit.  Wall
 time is measured but kept out of the canonical JSON body.
+
+The suites import `cantor`, `projections` and `ternary` when they run, so a
+CLI start, which imports this module, loads none of them.
 """
 
 from __future__ import annotations
