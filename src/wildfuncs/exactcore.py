@@ -444,12 +444,11 @@ class DigitExpansion(Record):
             raise ValueError("terminating expansion must not end in zero")
         if not (ipart or prefix or cycle) and sign != 1:
             raise ValueError("zero carries sign +1")
-        put = object.__setattr__
-        put(self, "base", base)
-        put(self, "sign", sign)
-        put(self, "integer_digits", ipart)
-        put(self, "prefix", prefix)
-        put(self, "cycle", cycle)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "integer_digits", ipart)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def digit_str(self) -> str:
         out = "-" if self.sign < 0 else ""
@@ -593,10 +592,9 @@ class CylinderPrefix(Record):
     __slots__ = ("base", "depth", "value")
 
     def __init__(self, base: int, depth: int, value: Fraction):
-        put = object.__setattr__
-        put(self, "base", base)
-        put(self, "depth", depth)
-        put(self, "value", value)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "value", value)
 
     def right(self) -> Fraction:
         return self.value + Fraction(1, self.base**self.depth)
