@@ -9,10 +9,11 @@ One placement object, `_state`, holds the enumeration (one generator,
 `_intervals`, drained on demand into a list of basis intervals), the
 placement records, and the hulls as a laminar forest: any two closed hulls
 are nested or disjoint, so the roots sort into one row and each hull's
-children into another, each child tagged with the gap of its parent's
-cover that holds it.  Placements are memoized sequentially (each depends
-on all previous ones); the object's lock guards every extension and every
-walk of the forest, reads of finished records and basis intervals are free.
+children into another, each child tagged with the level of the gap of its
+parent's cover that holds it.  Placements are memoized sequentially (each
+depends on all previous ones); the object's lock guards every extension and
+every walk of the forest, reads of finished records and basis intervals are
+free.
 
 A placement finds the hulls that meet its basis interval by bisecting the
 roots and walking down.  At each cover depth only the visible hulls count,
@@ -101,19 +102,15 @@ class _Level:
 _LEAF = _Level()  # the children of every hull that has none; never filled
 
 
-def _gap_of(n: int, m: int, depth: int) -> tuple[int, int]:
-    """(level, position) of the gap of the unit Cantor cover that holds n/m:
-    the first ternary digit 1 of n/m is at that level, and the 0/2 digits
-    before it, read as bits, give the gap's place among the 2**(level - 1)
-    gaps of its level.  A hull placed at cover depth `depth` lies in a gap
-    of level at most `depth` of the hull around it."""
-    position = 0
-    for level in range(1, depth + 1):
-        digit, n = divmod(3 * n, m)
-        if digit == 1:
-            return level, position
-        position = 2 * position + digit // 2
-    raise RuntimeError("a new hull lies in no gap of the hull around it")
+def _gap_of(n: int, m: int, depth: int) -> int:
+    """Level of the gap of the unit Cantor cover that holds n/m, 0 < n < m:
+    the place of the first ternary digit 1 of n/m.  A hull placed at cover
+    depth `depth` lies in a gap of level at most `depth` of the hull around
+    it."""
+    level = _divide(n, m, 3, depth)[0].find(1) + 1
+    if not level:
+        raise RuntimeError("a new hull lies in no gap of the hull around it")
+    return level
 
 
 class _Placement:
@@ -124,7 +121,7 @@ class _Placement:
     cover at every depth.  So each hull lies in one gap of the cover of the
     least hull around it, its parent, which has a smaller index.  The
     forest keeps the sorted roots, each hull's children, and per child the
-    (level, position) of the parent's gap that holds it.
+    level of the parent's gap that holds it.
 
     Coordinates are integers over one denominator, den, that every basis
     interval and hull met so far divides, the least such; a new denominator
@@ -134,7 +131,7 @@ class _Placement:
     path down from the hull, so the least cover depth at which they are
     visible from it) and, per cover depth, the widest interval inside the
     hull that no cover holds.  A new hull adds its width to the first along
-    its ancestors, and drops the second where the new hull lands inside it.
+    the hulls around it, and drops the second where it lands inside it.
     """
 
     def __init__(self):
@@ -146,8 +143,7 @@ class _Placement:
         self.spans: list[tuple[int, int]] = []  # (c * den, d * den) per hull
         self.roots = _Level()
         self.children: list[_Level] = []  # _LEAF until a hull has children
-        self.parents: list[int | None] = []
-        self.gaps: list[tuple[int, int]] = []  # (0, 0) for a root
+        self.gaps: list[int] = []  # 0 for a root
         self.masses: dict[int, list[int]] = {}  # see mass
         self.widest: dict[tuple[int, int], tuple[int, int]] = {}  # see free
         self.deepest = 0  # the deepest cover depth in widest
@@ -173,30 +169,28 @@ class _Placement:
         c, d, i = rec["c"], rec["d"], rec["index"]
         self.widen(c.denominator, d.denominator)
         c, d = c.numerator * (self.den // c.denominator), d.numerator * (self.den // d.denominator)
-        level, parent, gap = self.roots, None, (0, 0)
+        level, around, reach = self.roots, [], 0  # around: the hulls that hold it
         while (p := level.around(c)) is not None:
             pc, pd = self.spans[p]
-            level, parent, gap = self.children[p], p, _gap_of(c - pc, pd - pc, rec["depth"])
+            level, reach = self.children[p], _gap_of(c - pc, pd - pc, rec["depth"])
+            around.append(p)
         if level is _LEAF:
-            level = self.children[parent] = _Level()
+            level = self.children[around[-1]] = _Level()
         level.insert(c, d, i)
         self.spans.append((c, d))
         self.children.append(_LEAF)
-        self.parents.append(parent)
-        self.gaps.append(gap)
-        reach = 0
-        while parent is not None:
-            reach = max(reach, self.gaps[i][0])
-            mass = self.masses.setdefault(parent, self.mass(parent))
+        self.gaps.append(reach)
+        for p in reversed(around):
+            mass = self.masses.setdefault(p, self.mass(p))
             mass.extend([0] * (reach + 1 - len(mass)))
             mass[reach] += d - c
             # the new hull splits the free interval it lies in; only when
             # that was the widest does the widest change
             for k in range(reach, self.deepest + 1):
-                width, neg = self.widest.get((parent, k), (0, 0))
+                width, neg = self.widest.get((p, k), (0, 0))
                 if -neg < c * 3**k < width - neg:
-                    del self.widest[parent, k]
-            i, parent = parent, self.parents[parent]
+                    del self.widest[p, k]
+            reach = max(reach, self.gaps[p])
         self.records.append(rec)  # last: a record is read without the lock
 
     def mass(self, p: int) -> list[int]:
@@ -211,7 +205,7 @@ class _Placement:
             s = 3**k
             c, d = self.spans[p]
             walk = _Walk(self, k, c * s, d * s)
-            walk.cover(p, c * s, d - c)
+            walk.cover(self.children[p], c * s, d - c, k)
             got = self.widest[p, k] = walk.best
             self.deepest = max(self.deepest, k)
         return got
@@ -296,15 +290,18 @@ class _Walk:
         if right > left and (right - left, -left) > self.best:
             self.best = (right - left, -left)
 
-    def region(self, level: _Level, j0: int, j1: int, left: int, right: int) -> None:
-        """The free intervals of (left, right), which holds the sibling hulls
-        level.ids[j0:j1]: the pieces between them and those inside them."""
+    def region(self, level: _Level, left: int, right: int) -> None:
+        """The free intervals of (left, right), a gap of a visible cover or
+        all of (lo, hi): the pieces between the hulls of `level` in it and
+        those inside them."""
         st, k, s, lo, hi = self.st, self.k, self.s, self.lo, self.hi
         starts, ends, ids = level.starts, level.ends, level.ids
-        # the hulls that meet (lo, hi), and the free pieces between them;
-        # lo and hi are multiples of s
-        j0 = bisect_right(ends, lo // s, j0, j1)
-        j1 = bisect_left(starts, hi // s, j0, j1)
+        # the hulls in (left, right) that meet (lo, hi), and the free pieces
+        # between them.  Floor division is exact at both ends: a hull that
+        # starts at right // s but before right would end past right, as
+        # every hull is at least one unit of den wide
+        j0 = bisect_right(ends, max(left, lo) // s)
+        j1 = bisect_left(starts, min(right, hi) // s, j0)
         for j in range(j0, j1):
             self.offer(left, starts[j] * s)
             left = ends[j] * s
@@ -332,32 +329,23 @@ class _Walk:
                 width, neg = st.free(ids[j], k)
                 self.offer(-neg, width - neg)
             else:
-                self.cover(ids[j], x, w)
+                self.cover(st.children[ids[j]], x, w, k)
 
-    def cover(self, p: int, x: int, w: int) -> None:
-        """The free intervals in the gaps of hull p's depth-k cover, which
-        starts at x in segments of width w."""
-        children = self.st.children[p]
-        held = {}  # gap -> [j0, j1) of the children in it, for gap levels <= k
-        for j, ch in enumerate(children.ids):
-            gap = self.st.gaps[ch]
-            if gap[0] <= self.k:
-                held[gap] = held.get(gap, (j,))[0], j + 1
-        self._segment(children, held, x, w, self.k, 0, 0)
+    def cover(self, children: _Level, x: int, w: int, m: int) -> None:
+        """The free intervals in the gaps of the depth-m cover of
+        [x, x + w * 3**m], a segment of a hull whose children are `children`.
 
-    def _segment(self, children, held, x, w, m, level, position) -> None:
-        # the cover below one level-`level` segment, [x, x + w * 3**m]
+        Each child lies in one gap of its parent's cover, and a gap of level
+        above k lies inside a depth-k segment, which meets no gap of level k
+        or less; so the children in a gap visited here are those between
+        its ends."""
         span = w * 3**m
         third = span // 3
         if m == 0 or x + span <= self.lo or x >= self.hi or (third, -x) <= self.best:
             return
-        slot = held.get((level + 1, position))
-        if slot:
-            self.region(children, *slot, x + third, x + 2 * third)
-        else:
-            self.offer(x + third, x + 2 * third)
-        self._segment(children, held, x, w, m - 1, level + 1, 2 * position)
-        self._segment(children, held, x + 2 * third, w, m - 1, level + 1, 2 * position + 1)
+        self.region(children, x + third, x + 2 * third)
+        self.cover(children, x, w, m - 1)
+        self.cover(children, x + 2 * third, w, m - 1)
 
 
 def _covered(st: _Placement, lo: int, hi: int):
@@ -390,7 +378,7 @@ def _covered(st: _Placement, lo: int, hi: int):
             j1 -= 1
             holding.append(level.ids[j1])
         for p in level.ids[j0:j1]:
-            g = gaps[p][0]
+            g = gaps[p]
             if g < v:
                 g = v
             mass = masses.get(p)
@@ -401,7 +389,7 @@ def _covered(st: _Placement, lo: int, hi: int):
                     widths[r if r > g else g] += m
         for p in holding:
             c, d = spans[p]
-            reach = max(v, gaps[p][0])
+            reach = max(v, gaps[p])
             edges.append((c, d - c, reach))
             todo.append((st.children[p], reach))
     inside = 0
@@ -434,7 +422,7 @@ def _place(i: int) -> dict:
             break
     s = 3**depth
     walk = _Walk(st, depth, lo * s, hi * s)
-    walk.region(st.roots, 0, len(st.roots.ids), lo * s, hi * s)
+    walk.region(st.roots, lo * s, hi * s)
     width, neg = walk.best
     left, right, q = -neg, width - neg, 4 * den * s
     return {

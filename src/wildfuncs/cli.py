@@ -244,19 +244,7 @@ def _cmd_cantor(args) -> int:
     cantor.ensure_placed(args.max_index)
     for i in range(args.max_index):
         rec = cantor.placement_record(i)
-        print(
-            json.dumps(
-                {
-                    "index": rec["index"],
-                    "a": str(rec["a"]),
-                    "b": str(rec["b"]),
-                    "c": str(rec["c"]),
-                    "d": str(rec["d"]),
-                    "depth": rec["depth"],
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({k: str(v) if type(v) is Fraction else v for k, v in rec.items()}, sort_keys=True))
     return 0
 
 

@@ -262,17 +262,25 @@ class TestPlacement:
                 assert p < i
                 parents[i] = p
             open_hulls.append(i)
-        assert [cantor._state.parents[i] for i in range(count)] == parents
+        st = cantor._state
+        kept = [None] * len(st.records)
+        for p, level in enumerate(st.children):
+            for i in level.ids:
+                kept[i] = p
+        assert kept[:count] == parents
         for i, p in enumerate(parents):
             if p is None:
+                assert st.gaps[i] == 0, i
                 continue
             # the child lies in one open gap of the parent's cover, of a
-            # level no deeper than the child's own cover depth
+            # level no deeper than the child's own cover depth, and the
+            # forest keeps that level
             pc, width = recs[p]["c"], recs[p]["d"] - recs[p]["c"]
             tc, td = (recs[i]["c"] - pc) / width, (recs[i]["d"] - pc) / width
             level, cell = _first_gap(tc)
             assert F(cell, 3**level) < tc and td < F(cell + 1, 3**level), (p, i)
             assert level <= recs[i]["depth"], (p, i)
+            assert st.gaps[i] == level, (p, i)
 
     @staticmethod
     def _check_covered(i):
