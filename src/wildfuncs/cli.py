@@ -15,15 +15,14 @@ Exact answers print at any size.
 Exit codes: 0 success, 1 property failure, 2 usage or parse errors, and a
 `sample` of more than MAX_SAMPLE_ROWS rows.
 
-A command imports `cantor`, `projections` and `ternary` inside the handlers
-that use them, so it loads only the modules its subcommand needs.
+A command imports `cantor`, `projections`, `ternary`, `json` and `csv`
+inside the handlers that use them, so it loads only the modules its
+subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from fractions import Fraction
@@ -219,10 +218,12 @@ def _cmd_sample(args) -> int:
     rows = _sample_rows(args)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "csv":
+            import csv
             writer = csv.writer(fh)
             writer.writerow(["x", args.fn])
             writer.writerows(rows)
         else:
+            import json
             json.dump({"fn": args.fn, "rows": [list(r) for r in rows]}, fh)
             fh.write("\n")
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -240,6 +241,8 @@ def _cmd_hypo(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
+    import json
+
     from . import cantor
     cantor.ensure_placed(args.max_index)
     for i in range(args.max_index):

@@ -11,7 +11,6 @@ explicit undecided outcome for named constants.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
@@ -317,6 +316,11 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int
     return m[: len(pivots)], pivots
 
 
+# (f, rows, pivots) of the last solve_image that found a preimage, with f
+# held by identity; replaced as one tuple, so a reader sees one whole entry
+_last_elimination: tuple[AdditiveMap, list[list[int]], list[int]] | None = None
+
+
 def rank(f: AdditiveMap) -> int:
     """Pivot count from forward elimination (no back-substitution)."""
     m = [list(r) for r in f.rows]
@@ -336,9 +340,19 @@ def rank(f: AdditiveMap) -> int:
 
 
 def kernel_basis(f: AdditiveMap) -> list[SpanElement]:
-    """Basis of the null space; every member is a period of the map."""
+    """Basis of the null space; every member is a period of the map.
+
+    When `f` is the very map object of the last `solve_image` call that
+    found a preimage, the kernel is read from that call's elimination of
+    `[A | y]`, whose first n columns are the reduced form of A; any other
+    map is eliminated here.  Both give the same pivot rows up to a factor
+    per row, so the same Fractions."""
     n = f.basis.dim
-    rows, pivots = _rref(f.rows)
+    memo = _last_elimination
+    if memo is not None and memo[0] is f:
+        rows, pivots = memo[1], memo[2]
+    else:
+        rows, pivots = _rref(f.rows)
     free = [c for c in range(n) if c not in pivots]
     out = []
     for fc in free:
@@ -356,7 +370,9 @@ def is_injective(f: AdditiveMap) -> bool:
 
 def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
     """One exact solution of f(x) = y, or None if y is outside the image.
-    Free coordinates are set to zero."""
+    Free coordinates are set to zero.  When y is in the image, the pivot
+    rows and pivots of the elimination are kept for `kernel_basis(f)`."""
+    global _last_elimination
     if f.basis != y.basis:
         raise ValueError("basis mismatch")
     n = f.basis.dim
@@ -364,6 +380,8 @@ def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
     rows, pivots = _rref(augmented)
     if n in pivots:
         return None
+    # only now: a pivot in column n would index past a kernel vector
+    _last_elimination = (f, rows, pivots)
     coords = [Fraction(0)] * n
     for row, pc in zip(rows, pivots):
         coords[pc] = Fraction(row[n], row[pc])
@@ -380,9 +398,10 @@ def _opaque_support(x: SpanElement) -> bool:
     )
 
 
-def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds on the real value of x at the given precision,
-    summed as integer numerators over one running denominator per bound."""
+def _enclosure_ints(x: SpanElement, bits: int) -> tuple[int, int, int, int]:
+    """Certified bounds on the real value of x at the given precision, as
+    `(lo_n, lo_d, hi_n, hi_d)`: integer numerators over one running positive
+    denominator per bound, not reduced."""
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for q, sym in zip(x.coords, x.basis.symbols):
@@ -399,6 +418,12 @@ def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
         d = qd * shi.denominator
         hi_n = hi_n * d + qn * shi.numerator * hi_d
         hi_d *= d
+    return lo_n, lo_d, hi_n, hi_d
+
+
+def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
+    """Certified bounds on the real value of x at the given precision."""
+    lo_n, lo_d, hi_n, hi_d = _enclosure_ints(x, bits)
     return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
@@ -407,20 +432,23 @@ def real_sign_offset(x: SpanElement, offset: Fraction) -> int | None:
     involved and DEFAULT_PRECISION bits do not decide it.
 
     Surds never equal the rational offset, so their enclosures separate
-    from it; a rational x has an exact enclosure, lo == hi.
+    from it; a rational x has an exact enclosure, lo == hi.  Each end is
+    compared with the offset by cross-multiplying: every denominator is
+    positive.
     """
-    offset = Fraction(offset)
-    opaque = _opaque_support(x)
+    if not isinstance(offset, Fraction):
+        offset = Fraction(offset)
+    on, od = offset.numerator, offset.denominator
     bits = 32
     while True:
         lo, hi = enclosure_value(x, bits)
-        if lo > offset:
+        if lo.numerator * od > on * lo.denominator:
             return 1
-        if hi < offset:
+        if hi.numerator * od < on * hi.denominator:
             return -1
         if lo == hi:
             return 0
-        if opaque and bits >= DEFAULT_PRECISION:
+        if bits >= DEFAULT_PRECISION and _opaque_support(x):
             return None
         bits *= 2
 
@@ -435,18 +463,28 @@ def classify_shift(f: AdditiveMap, t: SpanElement) -> ShiftClass:
     return shift_class(t, apply_map(f, t), real_sign)
 
 
+def _grid_point(x0: SpanElement, steer: SpanElement, m: int, depth: int) -> SpanElement:
+    """x0 + (m/2**depth)*steer, one Fraction per coordinate."""
+    return SpanElement(x0.basis, tuple(
+        Fraction((a.numerator * b.denominator << depth) + m * b.numerator * a.denominator,
+                 a.denominator * b.denominator << depth)
+        for a, b in zip(x0.coords, steer.coords)
+    ))
+
+
 def surjection_witness(f: AdditiveMap, y: SpanElement, l: Fraction, r: Fraction) -> SpanElement:
     """Exact x with f(x) = y whose real value lies strictly in (l, r).
 
     Solves for one preimage x0, then steers it along a kernel element of
     nonzero real value; the dyadic coefficient c is found on refining grids.
-    At each grid the enclosures of x0 and the steer already bound the value
-    of x0 + c*steer, so a candidate they place at or below l, or at or above
-    r, is skipped without being built.  Every other candidate is admitted
-    only after the exact checks against l and then r, in grid order, so the
-    witness is the first candidate the exact checks admit.  A skipped
-    candidate is never checked, so one whose check would have run out of
-    precision does not raise.
+    The kernel comes from the elimination `solve_image` just made for x0, so
+    the map is eliminated once.  At each grid the integer enclosures of x0
+    and the steer already bound the value of x0 + c*steer, so a candidate
+    they place at or below l, or at or above r, is skipped without being
+    built.  Every other candidate is admitted only after the exact checks
+    against l and then r, in grid order, so the witness is the first
+    candidate the exact checks admit.  A skipped candidate is never checked,
+    so one whose check would have run out of precision does not raise.
     """
     l, r = Fraction(l), Fraction(r)
     if l >= r:
@@ -467,15 +505,20 @@ def surjection_witness(f: AdditiveMap, y: SpanElement, l: Fraction, r: Fraction)
             break
     if steer is None:
         raise ValueError("kernel has no element of nonzero real value")
+    lr_d = l.denominator * r.denominator
+    l_n, r_n = l.numerator * r.denominator, r.numerator * l.denominator
     depth = 0
     while depth <= 4 * DEFAULT_PRECISION:
         bits = 32 + depth
-        v0_lo, v0_hi = enclosure_value(x0, bits)
-        vk_lo, vk_hi = enclosure_value(steer, bits)
+        a_lo, a_lod, a_hi, a_hid = _enclosure_ints(x0, bits)
+        k_lo, k_lod, k_hi, k_hid = _enclosure_ints(steer, bits)
         # the six bounds as integer numerators over one positive denominator
-        bounds = (v0_lo, v0_hi, vk_lo, vk_hi, l, r)
-        den = lcm(*(q.denominator for q in bounds))
-        a_lo, a_hi, k_lo, k_hi, ln, rn = (q.numerator * (den // q.denominator) for q in bounds)
+        den = lcm(a_lod, a_hid, k_lod, k_hid, lr_d)
+        a_lo *= den // a_lod
+        a_hi *= den // a_hid
+        k_lo *= den // k_lod
+        k_hi *= den // k_hid
+        ln, rn = l_n * (den // lr_d), r_n * (den // lr_d)
         if k_lo + k_hi:
             # floor(2**depth * (mid - mid(v0)) / mid(vk))
             base_m = ((ln + rn - a_lo - a_hi) << depth) // (k_lo + k_hi)
@@ -489,7 +532,7 @@ def surjection_witness(f: AdditiveMap, y: SpanElement, l: Fraction, r: Fraction)
                     outside = below + m * k_lo <= 0 or above + m * k_hi >= 0
                 if outside:
                     continue
-                x = x0 + steer.scale(Fraction(m, 1 << depth))
+                x = _grid_point(x0, steer, m, depth)
                 s_lo = real_sign_offset(x, l)
                 if s_lo is None:
                     raise UndecidedComparisonError("interval check undecided")
@@ -528,6 +571,7 @@ def load_map(path: str) -> AdditiveMap:
     literals (strings) or integers; both go through `parse_rational`.  Any
     other shape raises ValueError, and so do JSON floats and booleans: a
     float would decide an exact answer."""
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_int=parse_rational)
     if not isinstance(data, dict):

@@ -6,14 +6,13 @@ in trial order, so identical invocations print identical reports.
 `_per_trial` holds that rule for every suite but the placement audit.  Wall
 time is measured but kept out of the canonical JSON body.
 
-The suites import `cantor`, `projections` and `ternary` when they run, so a
-CLI start, which imports this module, loads none of them.
+The suites import `cantor`, `projections` and `ternary` when they run, and
+`random` and `json` are imported where they are used, so a CLI start, which
+imports this module, loads none of them.
 """
 
 from __future__ import annotations
 
-import json
-import random
 import time
 from fractions import Fraction
 
@@ -41,7 +40,9 @@ from .qspan import (
 _BASIS_123 = SpanBasis.from_strings(["1", "sqrt:2", "sqrt:3"])
 
 
-def _rng(seed: int, trial: int) -> random.Random:
+def _rng(seed: int, trial: int):
+    """The `random.Random` of one trial."""
+    import random
     return random.Random(seed * 1_000_003 + trial)
 
 
@@ -402,6 +403,7 @@ def run_suite(name: str, trials: int, seed: int) -> PropertyReport:
 def report_json(report: PropertyReport) -> str:
     """Canonical JSON body; wall time is deliberately left out so identical
     (suite, trials, seed) runs are byte-identical."""
+    import json
     body = {
         "suite": report.suite,
         "trials": report.trials,

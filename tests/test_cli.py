@@ -601,7 +601,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv, absent", [
         ([], ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections", "wildfuncs.ternary")),
-        (["eval", "--fn", "h", "--x", "226/243"], ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections")),
+        (["eval", "--fn", "h", "--x", "226/243"],
+         ("dataclasses", "json", "csv", "wildfuncs.cantor", "wildfuncs.projections")),
         (["preimage", "--fn", "h", "--y", "5/8", "--interval", "1/2,2/3"],
          ("dataclasses", "wildfuncs.cantor", "wildfuncs.projections")),
     ])

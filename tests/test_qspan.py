@@ -1,7 +1,9 @@
 import contextlib
 import json
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,8 @@ from wildfuncs.qspan import (
     SpanElement,
     Symbol,
     UndecidedComparisonError,
+    _enclosure_ints,
+    _grid_point,
     _rref,
     apply_map,
     classify_shift,
@@ -174,6 +178,113 @@ class TestKernelAndRank:
                 assert apply_map(f, k).is_zero
 
 
+def sympy_kernel(f):
+    sympy = pytest.importorskip("sympy")
+    matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in f.rows])
+    return [tuple(F(int(e.p), int(e.q)) for e in v) for v in matrix.nullspace()]
+
+
+def fresh_kernel(f):
+    # an equal map that is another object is eliminated afresh
+    g = AdditiveMap(f.basis, f.rows)
+    assert g == f and g is not f
+    return [k.coords for k in kernel_basis(g)]
+
+
+@contextlib.contextmanager
+def counted_eliminations():
+    calls = []
+    real = qspan._rref
+
+    def count(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    qspan._rref = count
+    try:
+        yield calls
+    finally:
+        qspan._rref = real
+
+
+class TestKernelMemo:
+    """kernel_basis reads the kernel of the last map solve_image found a
+    preimage for; whichever elimination it uses, the kernel is the same."""
+
+    def cases(self, seed, count=60):
+        rng = random.Random(seed)
+        for i in range(count):
+            basis = (B123, TestWitnessOracle.OPAQUE)[i % 2]
+            f = rand_map(rng, basis, singular=rng.random() < 0.8)
+            yield rng, f, apply_map(f, rand_elem(rng, basis))
+
+    def check(self, f, kernel):
+        got = [k.coords for k in kernel]
+        assert got == fresh_kernel(f) == sympy_kernel(f)
+        assert all(k.basis is f.basis for k in kernel)
+
+    def test_after_solve_image(self):
+        for _, f, y in self.cases(120):
+            assert solve_image(f, y) is not None
+            with counted_eliminations() as calls:
+                kernel = kernel_basis(f)
+            assert calls == []
+            self.check(f, kernel)
+
+    def test_after_solve_image_of_an_equal_map(self):
+        for _, f, y in self.cases(121):
+            g = AdditiveMap(f.basis, f.rows)
+            assert solve_image(g, y) is not None
+            with counted_eliminations() as calls:
+                kernel = kernel_basis(f)
+            assert calls == [f.basis.dim]
+            self.check(f, kernel)
+
+    def test_after_solve_image_outside_the_image(self):
+        outside = 0
+        for rng, f, y in self.cases(122, 120):
+            other = rand_map(rng, f.basis, singular=True)
+            assert solve_image(other, apply_map(other, rand_elem(rng, f.basis))) is not None
+            y = rand_elem(rng, f.basis)
+            if solve_image(f, y) is not None:
+                continue
+            outside += 1
+            self.check(f, kernel_basis(f))
+            self.check(other, kernel_basis(other))
+        assert outside > 40
+
+    def test_witness_eliminates_once(self):
+        for _, f, y in self.cases(123):
+            with counted_eliminations() as calls:
+                try:
+                    surjection_witness(f, y, F(-1), F(1))
+                except (ValueError, UndecidedComparisonError):
+                    pass
+            assert calls == [f.basis.dim]
+
+    def test_threads_alternating_maps(self):
+        jobs = list(self.cases(124, 16))
+
+        def job(k):
+            # solve for one map, then read the kernels of it and of the next
+            _, f, y = jobs[k % len(jobs)]
+            _, g, _ = jobs[(k + 1) % len(jobs)]
+            x0 = solve_image(f, y)
+            return x0.coords, [v.coords for v in kernel_basis(f)], [v.coords for v in kernel_basis(g)]
+
+        want = [job(k) for k in range(256)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(job, range(256), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        for _, f, _ in jobs:
+            assert [k.coords for k in kernel_basis(f)] == sympy_kernel(f)
+
+
 class TestClassifyShift:
     def test_radical_axis_is_period_of_p(self):
         cls = classify_shift(P_MAT, elem(B2, 0, 1))
@@ -262,6 +373,25 @@ class TestRealCompare:
                 assert enclosure_value(x, 1) == (q, q)
                 for offset, want in ((q - F(1, 97), 1), (q, 0), (q + F(1, 97), -1)):
                     assert real_sign_offset(x, offset) == want
+
+    def test_int_and_fraction_offsets(self):
+        # an int offset and the equal Fraction give the same sign, and it
+        # is the sign of a 256-bit Fraction enclosure minus the offset;
+        # rational x at the offset gives lo == hi == offset, sign 0
+        rng = random.Random(114)
+        unit = SpanBasis.from_strings(["1"])
+        for _ in range(200):
+            k = rng.randint(-8, 8)
+            x = rand_elem(rng, B123 if rng.random() < 0.7 else unit)
+            if rng.random() < 0.2:
+                x = SpanElement(x.basis, (F(k),) + (F(0),) * (x.basis.dim - 1))
+            lo, hi = fraction_enclosure(x, 256)
+            want = 1 if lo > k else -1 if hi < k else 0
+            assert want or lo == hi == k
+            assert real_sign_offset(x, k) == real_sign_offset(x, F(k)) == want
+            for offset in (F(k, 3), F(2 * k + 1, 2)):
+                want = 1 if lo > offset else -1 if hi < offset else 0
+                assert real_sign_offset(x, offset) == want
 
     def test_zero_element_without_unit(self):
         basis = SpanBasis.from_strings(["sqrt:2", "opaque:pi"])
@@ -446,10 +576,36 @@ class TestEnclosureOracle:
                         for _ in range(basis.dim)
                     ))
                     lo, hi = enclosure_value(x, bits)
-                    assert (lo, hi) == fraction_enclosure(x, bits)
+                    assert (lo, hi) == fraction_enclosure(x, bits) == int_enclosure(x, bits)
                     assert type(lo) is F and type(hi) is F
+                negative = SpanElement(basis, tuple(F(-3 - k, 2 + k) for k in range(basis.dim)))
+                assert enclosure_value(negative, bits) == fraction_enclosure(negative, bits) \
+                    == int_enclosure(negative, bits)
             zero = SpanElement(basis, (F(0),) * basis.dim)
-            assert enclosure_value(zero, 32) == (F(0), F(0))
+            assert enclosure_value(zero, 32) == (F(0), F(0)) == int_enclosure(zero, 32)
+
+
+def int_enclosure(x, bits):
+    lo_n, lo_d, hi_n, hi_d = _enclosure_ints(x, bits)
+    assert all(type(v) is int for v in (lo_n, lo_d, hi_n, hi_d)) and lo_d > 0 and hi_d > 0
+    return F(lo_n, lo_d), F(hi_n, hi_d)
+
+
+class TestGridPointOracle:
+    def test_against_fraction_steer(self):
+        # x0 + (m/2**depth)*steer, at depths up to the witness's last grid
+        # and with m of both signs
+        rng = random.Random(115)
+        for basis in (B123, TestWitnessOracle.OPAQUE):
+            for depth in (0, 1, 2, 7, 31, 64, 129, 255, 4 * qspan.DEFAULT_PRECISION):
+                for _ in range(20):
+                    x0, steer = rand_elem(rng, basis), rand_elem(rng, basis)
+                    if rng.random() < 0.3:
+                        steer = SpanElement(basis, (F(0),) + steer.coords[1:])
+                    m = rng.choice((-1, 1)) * rng.randint(0, 1 << rng.randint(0, depth + 3))
+                    x = _grid_point(x0, steer, m, depth)
+                    assert x == x0 + steer.scale(F(m, 1 << depth))
+                    assert all(type(q) is F for q in x.coords)
 
 
 def every_candidate_witness(f, y, l, r, prefilter=False):
