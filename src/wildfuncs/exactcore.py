@@ -606,10 +606,11 @@ def cylinder_for_interval(l: Fraction, r: Fraction, base: int) -> CylinderPrefix
     l, r = Fraction(l), Fraction(r)
     if l >= r:
         raise ValueError("empty interval")
-    k = 0
+    ln, ld, rn, rd = l.numerator, l.denominator, r.numerator, r.denominator
+    k, scale = 0, 1
     while True:
-        scale = base**k
-        m = (l.numerator * scale) // l.denominator + 1  # least m with m/scale > l
-        if Fraction(m + 1, scale) < r:
+        m = ln * scale // ld + 1  # least m with m/scale > l
+        if (m + 1) * rd < rn * scale:  # (m + 1)/scale < r
             return CylinderPrefix(base, k, Fraction(m, scale))
         k += 1
+        scale *= base

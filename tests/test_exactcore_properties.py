@@ -1,5 +1,6 @@
 """Property round trips for the rational literal codec and the expansions,
-and an oracle for the literal grammar.
+an oracle for the literal grammar, and the cylinder search against a
+brute-force scan.
 
 Denominators reach about 2 * 10**5, so base-3 cycles run past the lane
 cutoff of `exactcore._divide` as well as below it.
@@ -16,11 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wildfuncs.exactcore import (  # noqa: E402
+    cylinder_for_interval,
     format_rational,
     from_expansion,
     parse_rational,
     to_expansion,
 )
+
+import test_exactcore  # noqa: E402
 
 fixed = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -111,3 +115,15 @@ def test_expansion_round_trip(base, x):
     e = to_expansion(x, base)
     assert from_expansion(e) == x
     assert to_expansion(from_expansion(e), base) == e
+
+
+@pytest.mark.parametrize("base", (2, 3))
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-(10**4), 10**4), st.integers(1, 3000), st.integers(1, 10**4), st.integers(1, 10**6))
+def test_cylinder_matches_brute_force(base, a, b, c, d):
+    # the integer search against a brute-force scan of every depth, on
+    # intervals down to 10**-6 wide
+    l = F(a, b)
+    r = l + F(c, d)
+    cyl = cylinder_for_interval(l, r, base)
+    assert (cyl.base, cyl.depth, cyl.value) == (base, *test_exactcore.TestCylinder._oracle(l, r, base, 24))

@@ -744,8 +744,11 @@ class TestWitnessOracle:
         # floor of a quotient by a negative number
         rng = random.Random(112)
         for basis in (B123, self.OPAQUE):
-            seen = found = 0
+            seen = found = drawn = 0
             while seen < 80:
+                # a fault in the kernel's signs must fail here, not loop on
+                drawn += 1
+                assert drawn <= 2000, f"{seen} maps with a negative steer in 2000 draws"
                 f = rand_map(rng, basis, singular=True)
                 signs = [real_sign(k) for k in kernel_basis(f)]
                 if None in signs or next((s for s in signs if s), 0) >= 0:

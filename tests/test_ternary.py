@@ -8,11 +8,12 @@ from wildfuncs import ternary
 from wildfuncs.exactcore import (
     DigitExpansion,
     _int_to_digits,
-    cylinder_for_interval,
     fraction_value,
     from_expansion,
     to_expansion,
 )
+
+import test_exactcore
 
 
 def full_rule(x: F, signed: bool = False) -> F:
@@ -80,11 +81,15 @@ class TestCycleLead:
         monkeypatch.setattr(ternary, "to_expansion", counted)
 
     def check(self, x: F) -> bool:
-        """True when the lead decided x: neither map built its expansion."""
+        """True when the lead decided x: neither map built its expansion.
+        The audit reads both values off the expansion it builds."""
         before = self.expansions
         assert ternary.evaluate(x) == full_rule(x), x
         assert ternary.evaluate_signed(x) == full_rule(x, True), x
-        return self.expansions == before
+        decided = self.expansions == before
+        audit = ternary.digit_audit(x)
+        assert (audit["value"], audit["value_signed"]) == (str(full_rule(x)), str(full_rule(x, True))), x
+        return decided
 
     def test_criterion_1_style_rationals(self):
         rng = random.Random(61)
@@ -177,6 +182,8 @@ class TestPeriodicity:
         assert ternary.shift_pair(F(226, 243), 1) == (F(5, 8), F(5, 8))
         assert ternary.shift_pair(F(226, 243), -3) == (F(5, 8), F(5, 8))
         assert ternary.shift_pair(F(0), 5) == (F(0), F(0))
+        # a whole-number Fraction shifts like the int it equals
+        assert ternary.shift_pair(F(226, 243), F(2)) == (F(5, 8), F(5, 8))
 
     def test_randomized(self):
         rng = random.Random(51)
@@ -238,6 +245,7 @@ class TestPreimage:
     def test_matches_split_rule(self):
         # the rule as once written: the integer bits of |y| rendered alone,
         # then the binary expansion of its fractional part, read in base 3
+        # behind the cylinder found by TestCylinder's brute-force oracle
         rng = random.Random(103)
         for _ in range(500):
             signed = rng.random() < 0.5
@@ -246,7 +254,7 @@ class TestPreimage:
                 y = abs(y)
             l = F(rng.randint(-900, 900), rng.randint(1, 30))
             r = l + F(rng.randint(1, 60), rng.randint(1, 300))
-            cyl = cylinder_for_interval(l, r, 3)
+            depth, value = test_exactcore.TestCylinder._oracle(l, r, 3, 12)
             mag = abs(y)
             ipart = mag.numerator // mag.denominator
             block = _int_to_digits(ipart, 2)
@@ -254,7 +262,7 @@ class TestPreimage:
                 block = bytes([0 if y < 0 else 1]) + block
             frac = to_expansion(mag - ipart, 2)
             tail = fraction_value(b"\x02" + block + b"\x02" + frac.prefix, frac.cycle, 3)
-            want = cyl.value + tail / 3**cyl.depth
+            want = value + tail / 3**depth
             assert ternary.preimage(y, l, r, signed=signed) == want, (y, l, r)
 
 
