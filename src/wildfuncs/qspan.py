@@ -2,11 +2,11 @@
 
 A basis declares finitely many real numbers (the unit 1, square roots of
 distinct squarefree integers, or named constants with certified interval
-evaluators); elements are rational coordinate vectors over it and additive
-maps are rational matrices.  Linear algebra is exact; questions about the
-real line (signs, ordering, interval membership) are answered through
-certified enclosures that are exact for surd-only bases and degrade to an
-explicit undecided outcome for named constants.
+evaluators); elements are rational vectors over it and additive maps rational
+matrices, both held as integer numerators over one positive denominator.
+Linear algebra is exact; real-line questions (signs, ordering, interval
+membership) go through certified enclosures, which are exact for surd-only
+bases and degrade to an explicit undecided outcome for named constants.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .exactcore import Record, parse_rational
 
@@ -217,20 +218,50 @@ class SpanBasis(Record):
         return len(self.symbols)
 
 
-class SpanElement(Record):
-    __slots__ = ("basis", "coords")
+def _rational(v) -> Fraction:
+    # Fraction(float) would carry binary rounding into an exact answer
+    if isinstance(v, float):
+        raise TypeError(f"exact coordinates refuse floats, got {v!r}")
+    return v if type(v) is Fraction else Fraction(v)
 
-    def __init__(self, basis: SpanBasis, coords: tuple[Fraction, ...]):
-        if type(coords) is not tuple or any(type(q) is not Fraction for q in coords):
-            coords = tuple(Fraction(q) for q in coords)
-        if len(coords) != basis.dim:
+
+def _over_one_den(values, den: int | None = None) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator, with gcd 1: from
+    rationals when `den` is None, else from integers over a nonzero `den`."""
+    if den is None:
+        qs = [_rational(v) for v in values]
+        den = lcm(*(q.denominator for q in qs))
+        values = [q.numerator * (den // q.denominator) for q in qs]
+    elif den <= 0:
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        values, den = [-v for v in values], -den
+    g = gcd(den, *values)  # a TypeError unless all are integers
+    return ([v // g for v in values], den // g) if g != 1 else (values, den)
+
+
+class SpanElement(Record):
+    """Rational coordinates (ints, Fractions or literal strings, no floats),
+    or integer numerators over `den`, held as integers `nums` over one positive
+    `den` with gcd 1 (zero is all zeros over 1): `==` and `hash` are exact."""
+
+    __slots__ = ("basis", "nums", "den")
+
+    def __init__(self, basis: SpanBasis, nums, den: int | None = None):
+        nums, den = _over_one_den(nums, den)
+        if len(nums) != basis.dim:
             raise ValueError("coordinate count does not match basis size")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(q == 0 for q in self.coords)
+        return not any(self.nums)
 
     def _join(self, other: "SpanElement") -> None:
         if self.basis != other.basis:
@@ -238,60 +269,63 @@ class SpanElement(Record):
 
     def __add__(self, other: "SpanElement") -> "SpanElement":
         self._join(other)
-        return SpanElement(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        ad, bd = self.den, other.den
+        return SpanElement(self.basis, [a * bd + b * ad for a, b in zip(self.nums, other.nums)], ad * bd)
 
     def __sub__(self, other: "SpanElement") -> "SpanElement":
         self._join(other)
-        return SpanElement(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        ad, bd = self.den, other.den
+        return SpanElement(self.basis, [a * bd - b * ad for a, b in zip(self.nums, other.nums)], ad * bd)
 
     def __neg__(self) -> "SpanElement":
-        return SpanElement(self.basis, tuple(-a for a in self.coords))
+        return SpanElement(self.basis, [-a for a in self.nums], self.den)
 
     def scale(self, q: Fraction) -> "SpanElement":
-        q = Fraction(q)
-        return SpanElement(self.basis, tuple(q * a for a in self.coords))
+        q = _rational(q)
+        return SpanElement(self.basis, [q.numerator * a for a in self.nums], self.den * q.denominator)
 
 
 class AdditiveMap(Record):
     """Rational matrix over a span basis; column k holds the coordinates of
-    the image of basis symbol k."""
+    the image of basis symbol k.  Held as SpanElement is: integer rows `nums`
+    over one positive denominator `den`."""
 
-    __slots__ = ("basis", "rows")
+    __slots__ = ("basis", "nums", "den")
 
-    def __init__(self, basis: SpanBasis, rows: tuple[tuple[Fraction, ...], ...]):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    def __init__(self, basis: SpanBasis, nums, den: int | None = None):
+        nums = [tuple(row) for row in nums]
         n = basis.dim
-        if len(rows) != n or any(len(row) != n for row in rows):
+        if len(nums) != n or any(len(row) != n for row in nums):
             raise ValueError("matrix must be square with basis dimension")
+        flat, den = _over_one_den([v for row in nums for v in row], den)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nums", tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.nums)
 
 
 def apply_map(f: AdditiveMap, x: SpanElement) -> SpanElement:
     if f.basis != x.basis:
         raise ValueError("basis mismatch")
-    coords = tuple(
-        sum((r * c for r, c in zip(row, x.coords)), Fraction(0)) for row in f.rows
-    )
-    return SpanElement(f.basis, coords)
+    return SpanElement(f.basis, [sum(map(mul, row, x.nums)) for row in f.nums], f.den * x.den)
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """The pivot rows of the reduced row echelon form, as integer rows, and
-    the pivot columns, by fraction-free elimination.  Each row is scaled to
-    integers and eliminated as `pv*a - f*b`, then divided by its content,
-    so each row stays a nonzero multiple of the row a Fraction elimination
-    would hold: the zero tests and the pivots are the same, and entry c of
-    the i-th reduced row is `Fraction(row[c], row[pivots[i]])`.  The zero
-    rows are left out."""
-    m = []
-    for r in rows:
-        den = lcm(*(v.denominator for v in r))
-        m.append([v.numerator * (den // v.denominator) for v in r])
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """The pivot rows of the reduced row echelon form of integer rows, as
+    integer rows, and the pivot columns, by fraction-free elimination.  Each
+    row is eliminated as `pv*a - f*b`, then divided by its content, so each
+    row stays a nonzero multiple of the row a Fraction elimination would
+    hold: the zero tests and the pivots are the same, and entry c of the
+    i-th reduced row is `Fraction(row[c], row[pivots[i]])`.  The zero rows
+    are left out; a row never eliminated is returned as given."""
+    m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -322,19 +356,23 @@ _last_elimination: tuple[AdditiveMap, list[list[int]], list[int]] | None = None
 
 
 def rank(f: AdditiveMap) -> int:
-    """Pivot count from forward elimination (no back-substitution)."""
-    m = [list(r) for r in f.rows]
+    """Pivot count from fraction-free forward elimination (Bareiss; no
+    back-substitution): each row below the pivot pv becomes `(pv*a - c*b) //
+    prev`, every entry a minor of the matrix, so the exact division by the
+    pivot before keeps the entries small."""
+    m = list(f.nums)
     n = f.basis.dim
-    r = 0
+    r, prev = 0, 1
     for col in range(n):
-        pivot_row = next((i for i in range(r, n) if m[i][col] != 0), None)
+        pivot_row = next((i for i in range(r, n) if m[i][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow, pv = m[r], m[r][col]
         for i in range(r + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] / m[r][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            c = m[i][col]
+            m[i] = [(pv * a - c * b) // prev for a, b in zip(m[i], prow)]
+        prev = pv
         r += 1
     return r
 
@@ -346,21 +384,21 @@ def kernel_basis(f: AdditiveMap) -> list[SpanElement]:
     found a preimage, the kernel is read from that call's elimination of
     `[A | y]`, whose first n columns are the reduced form of A; any other
     map is eliminated here.  Both give the same pivot rows up to a factor
-    per row, so the same Fractions."""
+    per row, so the same elements."""
     n = f.basis.dim
     memo = _last_elimination
     if memo is not None and memo[0] is f:
         rows, pivots = memo[1], memo[2]
     else:
-        rows, pivots = _rref(f.rows)
-    free = [c for c in range(n) if c not in pivots]
+        rows, pivots = _rref(f.nums)
+    den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     out = []
-    for fc in free:
-        coords = [Fraction(0)] * n
-        coords[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        nums = [0] * n
+        nums[fc] = den
         for row, pc in zip(rows, pivots):
-            coords[pc] = Fraction(-row[fc], row[pc])
-        out.append(SpanElement(f.basis, tuple(coords)))
+            nums[pc] = -row[fc] * (den // row[pc])
+        out.append(SpanElement(f.basis, nums, den))
     return out
 
 
@@ -376,16 +414,18 @@ def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
     if f.basis != y.basis:
         raise ValueError("basis mismatch")
     n = f.basis.dim
-    augmented = [list(row) + [y.coords[i]] for i, row in enumerate(f.rows)]
+    # f.nums/f.den * x = y.nums/y.den, times f.den*y.den
+    augmented = [[a * y.den for a in row] + [f.den * v] for row, v in zip(f.nums, y.nums)]
     rows, pivots = _rref(augmented)
     if n in pivots:
         return None
     # only now: a pivot in column n would index past a kernel vector
     _last_elimination = (f, rows, pivots)
-    coords = [Fraction(0)] * n
+    den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    nums = [0] * n
     for row, pc in zip(rows, pivots):
-        coords[pc] = Fraction(row[n], row[pc])
-    return SpanElement(f.basis, tuple(coords))
+        nums[pc] = row[n] * (den // row[pc])
+    return SpanElement(f.basis, nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +433,35 @@ def solve_image(f: AdditiveMap, y: SpanElement) -> SpanElement | None:
 
 
 def _opaque_support(x: SpanElement) -> bool:
-    return any(
-        q != 0 and s.kind == "opaque" for q, s in zip(x.coords, x.basis.symbols)
-    )
+    return any(v and s.kind == "opaque" for v, s in zip(x.nums, x.basis.symbols))
+
+
+# Symbol.enclosure(bits) as integers, under a key that hashes in C (a Symbol does not)
+_SYMBOL_BOUNDS: dict[tuple, tuple[int, int, int, int]] = {}
 
 
 def _enclosure_ints(x: SpanElement, bits: int) -> tuple[int, int, int, int]:
     """Certified bounds on the real value of x at the given precision, as
     `(lo_n, lo_d, hi_n, hi_d)`: integer numerators over one running positive
     denominator per bound, not reduced."""
-    lo_n = hi_n = 0
-    lo_d = hi_d = 1
-    for q, sym in zip(x.coords, x.basis.symbols):
-        qn = q.numerator
-        if not qn:
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
+    for v, sym in zip(x.nums, x.basis.symbols):
+        if not v:
             continue
-        slo, shi = sym.enclosure(bits)
-        if qn < 0:
-            slo, shi = shi, slo
-        qd = q.denominator
-        d = qd * slo.denominator
-        lo_n = lo_n * d + qn * slo.numerator * lo_d
-        lo_d *= d
-        d = qd * shi.denominator
-        hi_n = hi_n * d + qn * shi.numerator * hi_d
-        hi_d *= d
-    return lo_n, lo_d, hi_n, hi_d
+        key = (sym.kind, sym.radicand, sym.name, bits)
+        bounds = _SYMBOL_BOUNDS.get(key)
+        if bounds is None:
+            lo, hi = sym.enclosure(bits)
+            bounds = _SYMBOL_BOUNDS[key] = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if v > 0:
+            sl_n, sl_d, sh_n, sh_d = bounds
+        else:
+            sh_n, sh_d, sl_n, sl_d = bounds
+        lo_n = lo_n * sl_d + v * sl_n * lo_d
+        lo_d *= sl_d
+        hi_n = hi_n * sh_d + v * sh_n * hi_d
+        hi_d *= sh_d
+    return lo_n, lo_d * x.den, hi_n, hi_d * x.den
 
 
 def enclosure_value(x: SpanElement, bits: int) -> tuple[Fraction, Fraction]:
@@ -436,8 +479,7 @@ def real_sign_offset(x: SpanElement, offset: Fraction) -> int | None:
     compared with the offset by cross-multiplying: every denominator is
     positive.
     """
-    if not isinstance(offset, Fraction):
-        offset = Fraction(offset)
+    offset = _rational(offset)
     on, od = offset.numerator, offset.denominator
     bits = 32
     while True:
@@ -464,12 +506,10 @@ def classify_shift(f: AdditiveMap, t: SpanElement) -> ShiftClass:
 
 
 def _grid_point(x0: SpanElement, steer: SpanElement, m: int, depth: int) -> SpanElement:
-    """x0 + (m/2**depth)*steer, one Fraction per coordinate."""
-    return SpanElement(x0.basis, tuple(
-        Fraction((a.numerator * b.denominator << depth) + m * b.numerator * a.denominator,
-                 a.denominator * b.denominator << depth)
-        for a, b in zip(x0.coords, steer.coords)
-    ))
+    """x0 + (m/2**depth)*steer, on integer numerators."""
+    ad, bd = x0.den, steer.den
+    return SpanElement(x0.basis, [(a * bd << depth) + m * b * ad for a, b in zip(x0.nums, steer.nums)],
+                       ad * bd << depth)
 
 
 def surjection_witness(f: AdditiveMap, y: SpanElement, l: Fraction, r: Fraction) -> SpanElement:

@@ -653,10 +653,10 @@ RECORDS = {
     ),
     "Symbol": (Symbol, ("kind", "radicand", "name"), ("sqrt", 2, ""), ("sqrt", 3, "")),
     "SpanBasis": (SpanBasis, ("symbols",), (_BASIS.symbols,), ((Symbol("one"), Symbol("sqrt", 3)),)),
-    "SpanElement": (SpanElement, ("basis", "coords"), (_BASIS, (F(1), F(2))), (_BASIS, (F(1), F(3)))),
+    "SpanElement": (SpanElement, ("basis", "nums", "den"), (_BASIS, (1, 2), 3), (_BASIS, (1, 3), 2)),
     "AdditiveMap": (
-        AdditiveMap, ("basis", "rows"),
-        (_BASIS, ((F(1), F(0)), (F(0), F(0)))), (_BASIS, ((F(1), F(0)), (F(0), F(1)))),
+        AdditiveMap, ("basis", "nums", "den"),
+        (_BASIS, ((1, 0), (0, 0)), 2), (_BASIS, ((1, 0), (0, 1)), 2),
     ),
 }
 

@@ -1,5 +1,8 @@
 import contextlib
+import copy
 import json
+import math
+import pickle
 import random
 import sys
 import time
@@ -7,6 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test-only oracle: without it, only TestIntegerRepresentation is left out
+    st = None
 
 from wildfuncs import qspan
 from wildfuncs.projections import Direction, ShiftKind
@@ -147,6 +155,129 @@ class TestApplyMap:
             assert apply_map(f, x + y) == apply_map(f, x) + apply_map(f, y)
 
 
+def check_canonical(x, values):
+    """x holds integer numerators over one positive denominator with gcd 1,
+    zero as all zeros over 1, and reads back as the Fractions `values`."""
+    assert type(x.den) is int and all(type(v) is int for v in x.nums)
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    if not any(values):
+        assert set(x.nums) == {0} and x.den == 1
+    assert x.coords == tuple(values) and all(type(q) is F for q in x.coords)
+
+
+def round_trips(x):
+    return [copy.copy(x), copy.deepcopy(x)] + [
+        pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+
+
+if st is not None:
+    # each coordinate as an int, a Fraction or a literal string, zero often
+    fraction_values = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**6)) | st.just(F(0))
+    inputs = st.integers(-(10**6), 10**6) | fraction_values | fraction_values.map(str)
+    coordinates = st.lists(inputs, min_size=3, max_size=3)
+    props = settings(derandomize=True, max_examples=150, deadline=None)
+
+    class TestIntegerRepresentation:
+        """SpanElement and AdditiveMap hold integer numerators over one
+        denominator; each operation is checked against Fraction tuples."""
+
+        @props
+        @given(coordinates)
+        def test_construction(self, values):
+            x = SpanElement(B123, values)
+            want = tuple(F(v) for v in values)
+            check_canonical(x, want)
+            # the integer form, given canonical or scaled by any nonzero k
+            assert SpanElement(B123, x.nums, x.den) == x
+            for k in (-1, 2, -6, 10**20):
+                y = SpanElement(B123, [k * v for v in x.nums], k * x.den)
+                check_canonical(y, want)
+                assert y == x and hash(y) == hash(x) and (y.nums, y.den) == (x.nums, x.den)
+
+        @props
+        @given(coordinates, coordinates, inputs)
+        def test_arithmetic(self, a_values, b_values, q):
+            a, b = SpanElement(B123, a_values), SpanElement(B123, b_values)
+            fa, fb, fq = a.coords, b.coords, F(q)
+            check_canonical(a + b, [u + v for u, v in zip(fa, fb)])
+            check_canonical(a - b, [u - v for u, v in zip(fa, fb)])
+            check_canonical(a - a, [F(0)] * 3)
+            check_canonical(-a, [-u for u in fa])
+            check_canonical(a.scale(q), [fq * u for u in fa])
+            check_canonical(a.scale(0), [F(0)] * 3)
+
+        @props
+        @given(st.lists(coordinates, min_size=3, max_size=3), coordinates)
+        def test_apply_map(self, rows, values):
+            f, x = AdditiveMap(B123, rows), SpanElement(B123, values)
+            want_rows = tuple(tuple(F(v) for v in row) for row in rows)
+            assert f.rows == want_rows and all(type(v) is F for row in f.rows for v in row)
+            flat = [v for row in f.nums for v in row]
+            assert f.den > 0 and math.gcd(f.den, *flat) == 1 and all(type(v) is int for v in flat)
+            assert AdditiveMap(B123, f.nums, f.den) == f
+            assert AdditiveMap(B123, [[-3 * v for v in row] for row in f.nums], -3 * f.den) == f
+            got = apply_map(f, x)
+            check_canonical(got, [sum((r * c for r, c in zip(row, x.coords)), F(0)) for row in want_rows])
+
+        @props
+        @given(coordinates, coordinates)
+        def test_equality_and_hash_follow_coordinates(self, a_values, b_values):
+            a, b = SpanElement(B123, a_values), SpanElement(B123, b_values)
+            assert (a == b) == (a.coords == b.coords)
+            # the same coordinates from strings and from Fractions
+            same = SpanElement(B123, [str(q) for q in a.coords])
+            assert same == a and hash(same) == hash(a) and same.coords == a.coords
+            assert (hash(a) == hash(b)) or a != b
+
+        @props
+        @given(coordinates, st.lists(coordinates, min_size=3, max_size=3))
+        def test_copy_and_pickle(self, values, rows):
+            x, f = SpanElement(B123, values), AdditiveMap(B123, rows)
+            for c in round_trips(x):
+                assert type(c) is SpanElement and c == x and hash(c) == hash(x)
+                assert (c.nums, c.den, c.coords) == (x.nums, x.den, x.coords)
+            for c in round_trips(f):
+                assert type(c) is AdditiveMap and c == f and hash(c) == hash(f)
+                assert (c.nums, c.den, c.rows) == (f.nums, f.den, f.rows)
+
+
+class TestFloatRefusal:
+    """A float carries binary rounding into an exact answer (Fraction(1/3)
+    is 6004799503160661/18014398509481984), so the exact constructors and
+    `scale` refuse one made at run time, as `load_map` refuses JSON floats."""
+
+    def test_constructors_and_scale(self):
+        for make in (
+            lambda: SpanElement(B2, [1 / 3, 0]),
+            lambda: SpanElement(B2, (F(1), 2.5)),
+            lambda: SpanElement(B2, (1, 2), 2.0),
+            lambda: SpanElement(B2, (0.5, 2), 2),
+            lambda: AdditiveMap(B2, [[1, 0.5], [0, 0]]),
+            lambda: AdditiveMap(B2, [[1, 1], [0, 0]], 2.0),
+            lambda: elem(B2, 1, 2).scale(0.5),
+            lambda: real_sign_offset(elem(B2, 1, 1), 0.5),
+        ):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_integer_form_checks(self):
+        with pytest.raises(ZeroDivisionError):
+            SpanElement(B2, (1, 2), 0)
+        with pytest.raises(TypeError):
+            SpanElement(B2, (F(1, 2), 1), 3)
+        with pytest.raises(ValueError):
+            SpanElement(B2, (1, 2, 3), 1)
+        with pytest.raises(ValueError):
+            AdditiveMap(B2, [[1, 2, 3], [0, 0, 0]], 1)
+
+    def test_exact_inputs_accepted(self):
+        x = SpanElement(B2, ["1/3", F(-2, 5)])
+        assert x.coords == (F(1, 3), F(-2, 5)) and (x.nums, x.den) == ((5, -6), 15)
+        assert x.scale(F(3, 2)) == x.scale("3/2") == SpanElement(B2, (F(1, 2), F(-3, 5)))
+        assert AdditiveMap(B2, [["1/2", 0], [0, 1]]).rows == ((F(1, 2), F(0)), (F(0), F(1)))
+
+
 class TestKernelAndRank:
     def test_projection_kernel(self):
         assert [k.coords for k in kernel_basis(P_MAT)] == [(F(0), F(1))]
@@ -283,6 +414,61 @@ class TestKernelMemo:
         assert got == want
         for _, f, _ in jobs:
             assert [k.coords for k in kernel_basis(f)] == sympy_kernel(f)
+
+
+def rank_cases(rng, count):
+    """Square maps up to 6x6 of every rank, with entries up to 10**12 over
+    denominators up to 10**6, zero rows, zero columns (a skipped pivot
+    column) and columns that repeat an earlier one (a column that loses its
+    pivot to elimination), in shuffled row order."""
+    names = ["1", "sqrt:2", "sqrt:3", "sqrt:5", "sqrt:6", "sqrt:7"]
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        r = rng.randint(0, n)
+        big = 10 ** rng.choice((1, 3, 12))
+
+        def entry():
+            return F(rng.randint(-big, big), rng.randint(1, 10**6 if big > 10 else 4))
+
+        left = [[entry() for _ in range(r)] for _ in range(n)]
+        right = [[entry() for _ in range(n)] for _ in range(r)]
+        rows = [[sum((left[i][k] * right[k][j] for k in range(r)), F(0)) for j in range(n)] for i in range(n)]
+        mutate = rng.random() < 0.6
+        for j in range(n if mutate else 0):
+            c = rng.random()
+            if c < 0.15:
+                for row in rows:
+                    row[j] = F(0)
+            elif c < 0.3 and j:
+                i, q = rng.randrange(j), entry()
+                for row in rows:
+                    row[j] = q * row[i]
+        for i in range(n if mutate else 0):
+            if rng.random() < 0.1:
+                rows[i] = [F(0)] * n
+        rng.shuffle(rows)
+        yield AdditiveMap(SpanBasis.from_strings(names[:n]), rows)
+
+
+class TestRankOracle:
+    """`rank` is fraction-free forward elimination of its own (Bareiss): it
+    never calls `_rref`, so `verify`'s rank-nullity check compares two
+    independent eliminations."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        seen = set()
+        for f in rank_cases(random.Random(127), 500):
+            matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in f.rows])
+            with counted_eliminations() as calls:
+                got = rank(f)
+            assert calls == []
+            assert got == matrix.rank()
+            assert is_injective(f) == (got == f.basis.dim)
+            assert len(kernel_basis(f)) == f.basis.dim - got
+            seen.add((f.basis.dim, got))
+        # every rank of every size up to 6, singular and nonsingular
+        assert seen >= {(n, r) for n in range(1, 7) for r in (0, n - 1, n)}
 
 
 class TestClassifyShift:
@@ -514,10 +700,21 @@ def rref_cases():
     return cases
 
 
+def integer_rows(rows):
+    """Each row of Fractions times the lcm of its denominators: the rows
+    `_rref` takes, with the same reduced form."""
+    out = []
+    for r in rows:
+        den = math.lcm(*(v.denominator for v in r))
+        out.append([int(v * den) for v in r])
+    return out
+
+
 def reduced_rows(rows):
-    """`_rref`'s integer pivot rows read as Fractions, each divided by its
-    pivot, padded with zero rows to the height of `rows`."""
-    got, pivots = _rref(rows)
+    """`_rref`'s integer pivot rows for the Fraction rows `rows`, read as
+    Fractions, each divided by its pivot, padded with zero rows to the
+    height of `rows`."""
+    got, pivots = _rref(integer_rows(rows))
     assert all(type(v) is int for r in got for v in r)
     reduced = [[F(v, r[pc]) for v in r] for r, pc in zip(got, pivots)]
     ncols = len(rows[0]) if rows else 0
