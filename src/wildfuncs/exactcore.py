@@ -50,6 +50,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+def exact_rational(v) -> Fraction:
+    """v as a Fraction; a float raises TypeError, as Fraction(float) would
+    carry binary rounding into an exact answer."""
+    if isinstance(v, float):
+        raise TypeError(f"exact values refuse floats, got {v!r}")
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactcore import exact_rational
 from .qspan import Direction, ShiftClass, ShiftKind, shift_class  # noqa: F401 (re-exported)
 from .surds import (
     LESS,
     QuadraticSurd,
     _int_sign,
-    _over_one_denominator,
     surd_compare,
     surd_floor,
     surd_sign,
@@ -23,11 +23,11 @@ from .surds import (
 
 
 def rational_component(x: QuadraticSurd) -> QuadraticSurd:
-    return QuadraticSurd(x.a, 0)
+    return QuadraticSurd(x.an, 0, x.den)
 
 
 def radical_component(x: QuadraticSurd) -> QuadraticSurd:
-    return QuadraticSurd(0, x.b)
+    return QuadraticSurd(0, x.bn, x.den)
 
 
 PROJECTIONS = {"p": rational_component, "q": radical_component}
@@ -50,7 +50,7 @@ def simplest_dyadic_between(lo: QuadraticSurd, hi: QuadraticSurd) -> Fraction:
     if surd_compare(lo, hi) != LESS:
         raise ValueError("empty interval")
     # hi = (a + b*sqrt(2))/d, so m/2**k < hi iff a*2**k - m*d + b*2**k*sqrt(2) > 0
-    a, b, d = _over_one_denominator(hi)
+    a, b, d = hi.an, hi.bn, hi.den
     for k, f in enumerate(_doubled_floors(lo)):
         scale = 1 << k
         if _int_sign(a * scale - (f + 1) * d, b * scale) > 0:
@@ -64,7 +64,7 @@ def _doubled_floors(u: QuadraticSurd):
     2f + 1, and it is 2f + 1 exactly when u * 2**(k+1) - (2f + 1) >= 0: one
     sign test on integers (equality only when u is rational).
     """
-    a, b, d = _over_one_denominator(u)
+    a, b, d = u.an, u.bn, u.den
     f = surd_floor(u)
     while True:
         yield f
@@ -87,30 +87,34 @@ def density_witness(
     """
     if fn not in PROJECTIONS:
         raise ValueError(f"unknown projection: {fn!r}")
-    x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
-    y_lo, y_hi = Fraction(y_lo), Fraction(y_hi)
-    if x_lo >= x_hi or y_lo >= y_hi:
+    x_lo, x_hi, y_lo, y_hi = map(exact_rational, (x_lo, x_hi, y_lo, y_hi))
+    xln, xld, xhn, xhd = x_lo.numerator, x_lo.denominator, x_hi.numerator, x_hi.denominator
+    yln, yld, yhn, yhd = y_lo.numerator, y_lo.denominator, y_hi.numerator, y_hi.denominator
+    if xln * xhd >= xhn * xld or yln * yhd >= yhn * yld:
         raise ValueError("empty window")
     if fn == "p":
-        a = simplest_dyadic_between(QuadraticSurd(y_lo, 0), QuadraticSurd(y_hi, 0))
+        a = simplest_dyadic_between(QuadraticSurd(yln, 0, yld), QuadraticSurd(yhn, 0, yhd))
         # need b*sqrt(2) in (x_lo - a, x_hi - a), i.e. b in that window / sqrt(2)
+        an, ad = a.numerator, a.denominator
         b = simplest_dyadic_between(
-            QuadraticSurd(0, (x_lo - a) / 2), QuadraticSurd(0, (x_hi - a) / 2)
+            QuadraticSurd(0, xln * ad - an * xld, 2 * xld * ad),
+            QuadraticSurd(0, xhn * ad - an * xhd, 2 * xhd * ad),
         )
-        witness = QuadraticSurd(a, b)
     else:
-        b = simplest_dyadic_between(
-            QuadraticSurd(0, y_lo / 2), QuadraticSurd(0, y_hi / 2)
+        b = simplest_dyadic_between(QuadraticSurd(0, yln, 2 * yld), QuadraticSurd(0, yhn, 2 * yhd))
+        bn, bd = b.numerator, b.denominator
+        a = simplest_dyadic_between(
+            QuadraticSurd(xln * bd, -bn * xld, xld * bd), QuadraticSurd(xhn * bd, -bn * xhd, xhd * bd)
         )
-        a = simplest_dyadic_between(QuadraticSurd(x_lo, -b), QuadraticSurd(x_hi, -b))
-        witness = QuadraticSurd(a, b)
+    w = QuadraticSurd(a, b)
+    v = PROJECTIONS[fn](w)
 
-    value = PROJECTIONS[fn](witness)
+    # n/d < (un + ubn*sqrt(2))/ud iff un*d - n*ud + ubn*d*sqrt(2) > 0 (d, ud > 0)
     if not (
-        surd_compare(QuadraticSurd(x_lo, 0), witness) == LESS
-        and surd_compare(witness, QuadraticSurd(x_hi, 0)) == LESS
-        and surd_compare(QuadraticSurd(y_lo, 0), value) == LESS
-        and surd_compare(value, QuadraticSurd(y_hi, 0)) == LESS
+        _int_sign(w.an * xld - xln * w.den, w.bn * xld) > 0
+        and _int_sign(xhn * w.den - w.an * xhd, -w.bn * xhd) > 0
+        and _int_sign(v.an * yld - yln * v.den, v.bn * yld) > 0
+        and _int_sign(yhn * v.den - v.an * yhd, -v.bn * yhd) > 0
     ):
         raise AssertionError("witness failed exact verification")
-    return witness
+    return w

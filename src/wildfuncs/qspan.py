@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .exactcore import Record, parse_rational
+from .exactcore import Record, exact_rational, parse_rational
 
 DEFAULT_PRECISION = 128
 
@@ -218,18 +218,11 @@ class SpanBasis(Record):
         return len(self.symbols)
 
 
-def _rational(v) -> Fraction:
-    # Fraction(float) would carry binary rounding into an exact answer
-    if isinstance(v, float):
-        raise TypeError(f"exact coordinates refuse floats, got {v!r}")
-    return v if type(v) is Fraction else Fraction(v)
-
-
 def _over_one_den(values, den: int | None = None) -> tuple[list[int], int]:
     """Integer numerators over one positive denominator, with gcd 1: from
     rationals when `den` is None, else from integers over a nonzero `den`."""
     if den is None:
-        qs = [_rational(v) for v in values]
+        qs = [exact_rational(v) for v in values]
         den = lcm(*(q.denominator for q in qs))
         values = [q.numerator * (den // q.denominator) for q in qs]
     elif den <= 0:
@@ -281,7 +274,7 @@ class SpanElement(Record):
         return SpanElement(self.basis, [-a for a in self.nums], self.den)
 
     def scale(self, q: Fraction) -> "SpanElement":
-        q = _rational(q)
+        q = exact_rational(q)
         return SpanElement(self.basis, [q.numerator * a for a in self.nums], self.den * q.denominator)
 
 
@@ -479,7 +472,7 @@ def real_sign_offset(x: SpanElement, offset: Fraction) -> int | None:
     compared with the offset by cross-multiplying: every denominator is
     positive.
     """
-    offset = _rational(offset)
+    offset = exact_rational(offset)
     on, od = offset.numerator, offset.denominator
     bits = 32
     while True:

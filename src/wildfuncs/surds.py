@@ -1,49 +1,76 @@
 """Exact arithmetic and ordering for numbers of the form a + b*sqrt(2).
 
-The representation (a, b) with rational a, b is unique because sqrt(2) is
-irrational, so equality is structural and ordering reduces to integer sign
-analysis.  No floating point anywhere.
+A surd is held as integer numerators `an`, `bn` over one positive
+denominator `den`, reduced to gcd 1, the way `qspan.SpanElement` holds its
+coordinates.  That form is unique because sqrt(2) is irrational, so equality
+and hash are structural, and every sign, comparison and floor is an integer
+test.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from .exactcore import Record, parse_rational
+from .exactcore import Record, exact_rational, parse_rational
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
 @total_ordering
 class QuadraticSurd(Record):
-    """The number a + b*sqrt(2) with exact rational components."""
+    """The number a + b*sqrt(2), from rational components a, b (ints,
+    Fractions or literal strings, no floats) or from integer numerators over
+    a nonzero `den`; held as (an + bn*sqrt(2))/den with den > 0 and gcd 1
+    (zero is 0, 0 over 1)."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("an", "bn", "den")
 
-    def __init__(self, a: Fraction, b: Fraction):
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+    def __init__(self, an, bn, den: int | None = None):
+        if den is None:
+            a, b = exact_rational(an), exact_rational(bn)
+            ad, bd = a.denominator, b.denominator
+            den = lcm(ad, bd)  # a and b are reduced, so gcd(an, bn, den) is already 1
+            an, bn = a.numerator * (den // ad), b.numerator * (den // bd)
+        else:
+            if den <= 0:
+                if not den:
+                    raise ZeroDivisionError("zero denominator")
+                an, bn, den = -an, -bn, -den
+            g = gcd(an, bn, den)  # a TypeError unless all are integers
+            if g != 1:
+                an, bn, den = an // g, bn // g, den // g
+        object.__setattr__(self, "an", an)
+        object.__setattr__(self, "bn", bn)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.bn, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.an or self.bn)
 
     def __add__(self, other: "QuadraticSurd") -> "QuadraticSurd":
-        return QuadraticSurd(self.a + other.a, self.b + other.b)
+        d, e = self.den, other.den
+        return QuadraticSurd(self.an * e + other.an * d, self.bn * e + other.bn * d, d * e)
 
     def __sub__(self, other: "QuadraticSurd") -> "QuadraticSurd":
-        return QuadraticSurd(self.a - other.a, self.b - other.b)
+        d, e = self.den, other.den
+        return QuadraticSurd(self.an * e - other.an * d, self.bn * e - other.bn * d, d * e)
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self.a, -self.b)
+        return QuadraticSurd(-self.an, -self.bn, self.den)
 
     def __mul__(self, other: "QuadraticSurd") -> "QuadraticSurd":
-        return QuadraticSurd(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        a, b, c, e = self.an, self.bn, other.an, other.bn
+        return QuadraticSurd(a * c + 2 * b * e, a * e + b * c, self.den * other.den)
 
     def __lt__(self, other: "QuadraticSurd") -> bool:
         return surd_compare(self, other) == LESS
@@ -66,43 +93,29 @@ def _int_sign(a: int, b: int) -> int:
 
 
 def surd_sign(u: QuadraticSurd) -> int:
-    """Exact sign of a + b*sqrt(2), on numerators over a common positive
-    denominator."""
-    a, b = u.a, u.b
-    return _int_sign(a.numerator * b.denominator, b.numerator * a.denominator)
+    """Exact sign of a + b*sqrt(2): that of its numerators, as den > 0."""
+    return _int_sign(u.an, u.bn)
 
 
 def surd_compare(u: QuadraticSurd, v: QuadraticSurd) -> int:
     """Three-way exact comparison: -1 (Less), 0 (Equal), +1 (Greater).
 
-    The sign of u - v, with the rational and the radical part of the
-    difference cross-multiplied to integers over one positive denominator.
+    The sign of u - v, times the positive u.den * v.den: each surd's
+    numerators cross-multiplied by the other's denominator.
     """
-    da, db = u.a.denominator * v.a.denominator, u.b.denominator * v.b.denominator
-    a = u.a.numerator * v.a.denominator - v.a.numerator * u.a.denominator
-    b = u.b.numerator * v.b.denominator - v.b.numerator * u.b.denominator
-    return _int_sign(a * db, b * da)
-
-
-def _over_one_denominator(u: QuadraticSurd) -> tuple[int, int, int]:
-    """Integers (a, b, d), d > 0, with u = (a + b*sqrt(2))/d."""
-    return (u.a.numerator * u.b.denominator, u.b.numerator * u.a.denominator,
-            u.a.denominator * u.b.denominator)
+    d, e = u.den, v.den
+    return _int_sign(u.an * e - v.an * d, u.bn * e - v.bn * d)
 
 
 def surd_floor(u: QuadraticSurd) -> int:
-    """Exact floor of a + b*sqrt(2).
-
-    With (A, B, D) from _over_one_denominator, floor(u) =
-    (A + floor(B*sqrt(2))) // D, and floor(B*sqrt(2)) comes from an integer
-    square root of 2*B*B.
-    """
-    big_a, big_b, d = _over_one_denominator(u)
-    if big_b >= 0:
-        fb = isqrt(2 * big_b * big_b)
+    """Exact floor of (an + bn*sqrt(2))/den: (an + floor(bn*sqrt(2))) // den,
+    and floor(bn*sqrt(2)) comes from an integer square root of 2*bn*bn."""
+    bn = u.bn
+    if bn >= 0:
+        fb = isqrt(2 * bn * bn)
     else:
-        fb = -isqrt(2 * big_b * big_b) - 1  # 2*B*B is never a perfect square
-    return (big_a + fb) // d
+        fb = -isqrt(2 * bn * bn) - 1  # 2*bn*bn is never a perfect square
+    return (u.an + fb) // u.den
 
 
 def parse_surd(text: str) -> QuadraticSurd:

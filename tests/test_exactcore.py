@@ -644,7 +644,7 @@ RECORDS = {
         (3, -1, b"", b"\x01", b"\x02\x00"), (3, 1, b"", b"\x01", b"\x02\x00"),
     ),
     "CylinderPrefix": (CylinderPrefix, ("base", "depth", "value"), (3, 3, F(10, 27)), (3, 4, F(10, 27))),
-    "QuadraticSurd": (QuadraticSurd, ("a", "b"), (F(1), F(2)), (F(1), F(3))),
+    "QuadraticSurd": (QuadraticSurd, ("an", "bn", "den"), (1, 2, 3), (1, 3, 2)),
     "BitStream": (BitStream, ("prefix", "cycle"), (b"\x01\x00", b"\x01"), (b"\x01", b"\x01")),
     "ShiftClass": (
         ShiftClass, ("kind", "increment", "direction"),
@@ -698,7 +698,7 @@ class TestRecord:
 class TestRecordRepr:
     def test_pinned_forms(self):
         # the `Name(field=value, ...)` form that `verify` failure reports print
-        assert repr(QuadraticSurd(1, 2)) == "QuadraticSurd(a=Fraction(1, 1), b=Fraction(2, 1))"
+        assert repr(QuadraticSurd(1, 2)) == "QuadraticSurd(an=1, bn=2, den=1)"
         assert repr(to_expansion(F(-7, 12), 3)) == (
             "DigitExpansion(base=3, sign=-1, integer_digits=b'', prefix=b'\\x01', cycle=b'\\x02\\x00')"
         )

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wildfuncs import projections
 from wildfuncs.projections import (
     _doubled_floors,
     Direction,
@@ -148,6 +149,21 @@ class TestDensityWitness:
             density_witness("p", F(1), F(1), F(0), F(1))
         with pytest.raises(ValueError):
             density_witness("q", F(0), F(1), F(2), F(2))
+
+    @pytest.mark.parametrize("x_window, y_window", [
+        ((5, 7), (4, 6)), ((3, 5), (4, 6)), ((4, 6), (5, 7)), ((4, 6), (3, 5)),
+    ])
+    def test_boundary_point_fails_verification(self, monkeypatch, x_window, y_window):
+        # a faulty search that puts w = p(w) = 5 on exactly one of the four
+        # open bounds: the exact re-check must refuse it
+        answers = iter((F(5), F(0)))
+        monkeypatch.setattr(projections, "simplest_dyadic_between", lambda lo, hi: next(answers))
+        with pytest.raises(AssertionError):
+            density_witness("p", *x_window, *y_window)
+
+    def test_float_bounds_refused(self):
+        with pytest.raises(TypeError):
+            density_witness("p", 0, 0.5, 5, 6)
 
     def test_randomized_membership(self):
         rng = random.Random(43)

@@ -1,7 +1,17 @@
+import copy
+import math
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test-only oracle: without it, only TestIntegerRepresentation is left out
+    st = None
 
 from wildfuncs.qspan import Symbol
 from wildfuncs.surds import (
@@ -158,6 +168,7 @@ class TestIntegerSignOracle:
         for _ in range(150):
             u, v = rand_big_surd(rng), rand_big_surd(rng)
             assert surd_sign(u) == sympy.sign(sym(u))
+            assert surd_floor(u) == sympy.floor(sym(u))
             assert surd_compare(u, v) == sympy.sign(sym(u) - sym(v))
 
 
@@ -175,6 +186,105 @@ class TestArith:
         # the field operations are +, - and *; there is no division
         with pytest.raises(TypeError):
             QuadraticSurd(1, 0) / QuadraticSurd(1, 0)
+
+
+def check_canonical(u, a, b):
+    """u holds integer numerators over one positive denominator with gcd 1,
+    zero as 0, 0 over 1, and reads back as the Fraction pair (a, b)."""
+    assert type(u.an) is int and type(u.bn) is int and type(u.den) is int
+    assert u.den > 0 and math.gcd(u.an, u.bn, u.den) == 1
+    if a == 0 and b == 0:
+        assert (u.an, u.bn, u.den) == (0, 0, 1) and u.is_zero
+    assert (u.a, u.b) == (a, b) and type(u.a) is F and type(u.b) is F
+
+
+def round_trips(u):
+    return [copy.copy(u), copy.deepcopy(u)] + [
+        pickle.loads(pickle.dumps(u, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+
+
+if st is not None:
+    # each component as an int, a Fraction or a literal string, zero often
+    fraction_values = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**6)) | st.just(F(0))
+    inputs = st.integers(-(10**6), 10**6) | fraction_values | fraction_values.map(str)
+    props = settings(derandomize=True, max_examples=200, deadline=None)
+
+    class TestIntegerRepresentation:
+        """QuadraticSurd holds integer numerators over one denominator; each
+        operation is checked against the Fraction pair (a, b)."""
+
+        @props
+        @given(inputs, inputs)
+        def test_construction(self, a, b):
+            u = QuadraticSurd(a, b)
+            check_canonical(u, F(a), F(b))
+            # the integer form, given canonical or scaled by any nonzero k
+            assert QuadraticSurd(u.an, u.bn, u.den) == u
+            for k in (-1, 2, -6, 10**20):
+                v = QuadraticSurd(k * u.an, k * u.bn, k * u.den)
+                check_canonical(v, F(a), F(b))
+                assert v == u and hash(v) == hash(u) and (v.an, v.bn, v.den) == (u.an, u.bn, u.den)
+            with pytest.raises(ZeroDivisionError):
+                QuadraticSurd(u.an, u.bn, 0)
+
+        @props
+        @given(inputs, inputs, inputs, inputs)
+        def test_arithmetic(self, a, b, c, d):
+            u, v = QuadraticSurd(a, b), QuadraticSurd(c, d)
+            a, b, c, d = F(a), F(b), F(c), F(d)
+            check_canonical(u + v, a + c, b + d)
+            check_canonical(u - v, a - c, b - d)
+            check_canonical(u - u, F(0), F(0))
+            check_canonical(-u, -a, -b)
+            check_canonical(u * v, a * c + 2 * b * d, a * d + b * c)
+            check_canonical(u * QuadraticSurd(0, 0), F(0), F(0))
+
+        @props
+        @given(inputs, inputs, inputs, inputs)
+        def test_equality_and_hash_follow_components(self, a, b, c, d):
+            u, v = QuadraticSurd(a, b), QuadraticSurd(c, d)
+            assert (u == v) == ((u.a, u.b) == (v.a, v.b)) == ((F(a), F(b)) == (F(c), F(d)))
+            # the same components from strings, from Fractions and as integers over den
+            for same in (QuadraticSurd(str(u.a), str(u.b)), QuadraticSurd(F(a), F(b)),
+                         QuadraticSurd(u.an * 3, u.bn * 3, u.den * 3)):
+                assert same == u and hash(same) == hash(u) and (same.a, same.b) == (u.a, u.b)
+
+        @props
+        @given(inputs, inputs)
+        def test_copy_and_pickle(self, a, b):
+            u = QuadraticSurd(a, b)
+            for c in round_trips(u):
+                assert type(c) is QuadraticSurd and c == u and hash(c) == hash(u)
+                assert (c.an, c.bn, c.den, c.a, c.b) == (u.an, u.bn, u.den, u.a, u.b)
+
+
+class TestFloatRefusal:
+    """A float carries binary rounding into an exact answer (QuadraticSurd(0.1, 0)
+    would be 3602879701896397/36028797018963968), so the constructor refuses
+    one in either form, as SpanElement does."""
+
+    def test_floats_raise(self):
+        for args in ((0.1, 0), (F(1), 2.5), (1, 2, 2.0), (0.5, 2, 2), (1, 2, -2.0)):
+            with pytest.raises(TypeError):
+                QuadraticSurd(*args)
+
+    def test_integer_form_checks(self):
+        with pytest.raises(ZeroDivisionError):
+            QuadraticSurd(1, 2, 0)
+        with pytest.raises(TypeError):
+            QuadraticSurd(F(1, 2), 1, 3)
+        assert (QuadraticSurd(0, 0, -7).an, QuadraticSurd(0, 0, -7).den) == (0, 1)
+        assert QuadraticSurd(6, -4, -10) == QuadraticSurd(F(-3, 5), F(2, 5))
+
+    def test_surds_import_no_qspan(self):
+        # the float check is exactcore's, shared with qspan: surds stays below qspan
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wildfuncs.surds; print(sorted(m for m in sys.modules if m.startswith('wildfuncs.')))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stdout == "['wildfuncs.exactcore', 'wildfuncs.surds']\n"
 
 
 class TestFloor:
